@@ -16,16 +16,18 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linsolve
-from .model import PBInstance, ValidationReport, check_bundle
+from .model import (
+    CertificateError,
+    EnumerationCapError,
+    PBInstance,
+    ValidationReport,
+    check_bundle,
+)
 
 ENUM_MAX_BITS = int(os.environ.get("PBPROP_ENUM_MAX_BITS", "16"))
 
 SATISFIED = "satisfied"
 VIOLATED = "violated"
-
-
-class EnumerationCapError(Exception):
-    pass
 
 
 def _check_caps(instance, voters=True, projects=True):
@@ -160,7 +162,8 @@ def check_core(instance: PBInstance, bundle) -> AxiomVerdict:
             witness = CoreWitness(
                 frozenset(better), frozenset(_mask_members(mask, instance.projects))
             )
-            assert validate_core_witness(instance, bundle, witness)
+            if not validate_core_witness(instance, bundle, witness):
+                raise CertificateError(f"core witness fails: {witness}")
             return AxiomVerdict(VIOLATED, witness)
     return AxiomVerdict(SATISFIED)
 
@@ -184,8 +187,6 @@ def _cohesive_search(instance, bundle, violated_for_group):
             min(instance.utilities[v][c] for v in members) for c in instance.projects
         ]
         test = violated_for_group(members)
-        if test is None:
-            continue
         for tmask in range(1, 1 << m):
             if costs[tmask] > cap:
                 continue
@@ -199,7 +200,8 @@ def _cohesive_search(instance, bundle, violated_for_group):
                 target = frozenset(_mask_members(tmask, instance.projects))
                 alpha = {c: minu[instance.projects.index(c)] for c in target}
                 witness = CohesivenessWitness(frozenset(members), target, alpha)
-                assert validate_cohesiveness_witness(instance, witness)
+                if not validate_cohesiveness_witness(instance, witness):
+                    raise CertificateError(f"cohesiveness witness fails: {witness}")
                 return witness
     return None
 
@@ -378,7 +380,8 @@ def check_priceable(instance: PBInstance, bundle, b_min_one=False) -> AxiomVerdi
         payments[v] = row
     ps = PriceSystem(result.assignment["b"], payments)
     report = validate_price_system(instance, bundle, ps, b_min_one=b_min_one)
-    assert report.ok, report.problems
+    if not report.ok:
+        raise CertificateError("; ".join(report.problems))
     return AxiomVerdict(SATISFIED, certificate=ps, mode=mode)
 
 

@@ -3,8 +3,8 @@
 Subcommands: run (a voting rule), check (an axiom against a bundle),
 laminar (recognition + decomposition dump), gen (instance generators),
 search (randomized counterexample hunt), paper-verify (the built-in
-fixture suite).  Exit status: 0 success or Satisfied, 1 Violated, 2 usage
-error.
+fixture suite).  Exit status: 0 success or Satisfied, 1 Violated (or not
+laminar), 2 usage error.
 """
 
 from __future__ import annotations
@@ -148,6 +148,8 @@ def _cmd_laminar(args, out):
     out.write(REPORT_HEADER + "\n")
     try:
         root = recognize_laminar(instance)
+        if root is None:
+            raise NotLaminarError("instance is not laminar")
     except NotLaminarError as exc:
         out.write(f"not laminar: {exc}\n")
         return 1
@@ -270,7 +272,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, sys.stdout)
-    except (FormatError, NotLaminarError, OSError, ValueError, KeyError) as exc:
+    except (FormatError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

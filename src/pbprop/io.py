@@ -110,6 +110,14 @@ def serialize_instance(instance: PBInstance) -> str:
     return json.dumps(data, indent=2, sort_keys=False) + "\n"
 
 
+def _pb_row(header, fields, needed, lineno):
+    row = dict(zip(header, fields))
+    for key in needed:
+        if key not in row:
+            raise FormatError(f"line {lineno}: row has no {key} field")
+    return row
+
+
 def parse_pabulib(text: str) -> PBInstance:
     """Read a .pb participatory-budgeting election (approval ballots only)."""
     section = None
@@ -144,8 +152,10 @@ def parse_pabulib(text: str) -> PBInstance:
                         f"line {lineno}: PROJECTS header needs project_id and cost"
                     )
                 continue
-            row = dict(zip(header, fields))
+            row = _pb_row(header, fields, ("project_id", "cost"), lineno)
             pid = row["project_id"]
+            if pid in cost:
+                raise FormatError(f"line {lineno}: duplicate project id {pid!r}")
             try:
                 cost[pid] = as_fraction(row["cost"])
             except (ValueError, TypeError) as exc:
@@ -158,7 +168,7 @@ def parse_pabulib(text: str) -> PBInstance:
                         f"line {lineno}: VOTES header needs voter_id and vote"
                     )
                 continue
-            row = dict(zip(header, fields))
+            row = _pb_row(header, fields, ("voter_id", "vote"), lineno)
             vid = row["voter_id"]
             order.append(vid)
             approvals[vid] = [p for p in row["vote"].split(",") if p]

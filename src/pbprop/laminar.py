@@ -5,9 +5,11 @@ seeded generator of laminar instances.
 A laminar instance is built from three node kinds: a unanimous block whose
 agreed projects cover the budget; a unanimously approved project stacked on
 a laminar remainder; or a disjoint split of two laminar instances whose
-budgets are proportional to their voter counts.  Recognition searches these
-cases with memoized backtracking; certification of a bundle is existential
-over all such decompositions.
+budgets are proportional to their voter counts.  One memoized table lists
+the cases of each slice of voters, projects and budget; recognition,
+certification, enumeration and the constructive price system are folds over
+that table, and certification of a bundle is existential over all
+decompositions.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 
 from .axioms import (
     SATISFIED,
@@ -25,12 +28,12 @@ from .axioms import (
     PriceSystem,
     validate_core_witness,
 )
-from .model import PBInstance, check_bundle
+from .model import CertificateError, PBInstance, check_bundle
 
 LAMINAR_MAX_BITS = int(os.environ.get("PBPROP_LAMINAR_MAX_BITS", "16"))
 
 
-class NotLaminarError(Exception):
+class NotLaminarError(ValueError):
     pass
 
 
@@ -59,99 +62,149 @@ class Split:
     budget: Fraction
 
 
-def _slice_approvals(instance, voters, projects):
-    return {v: instance.approval_set(v) & projects for v in voters}
+def _first_component(voters, approvals):
+    """The connected component of the voter-project approval graph that
+    holds the canonically first voter, as (voters, projects)."""
+    comp_voters = {voters[0]}
+    comp_projects = set(approvals[voters[0]])
+    grew = True
+    while grew:
+        grew = False
+        for v in voters:
+            if v not in comp_voters and approvals[v] & comp_projects:
+                comp_voters.add(v)
+                comp_projects |= approvals[v]
+                grew = True
+    return tuple(v for v in voters if v in comp_voters), frozenset(comp_projects)
 
 
-def _components(voters, approvals):
-    """Connected components of the voter-project approval graph, ordered by
-    their canonically first voter."""
-    remaining = list(voters)
-    comps = []
-    while remaining:
-        seed = remaining[0]
-        comp_voters = {seed}
-        comp_projects = set(approvals[seed])
-        grew = True
-        while grew:
-            grew = False
-            for v in remaining:
-                if v not in comp_voters and approvals[v] & comp_projects:
-                    comp_voters.add(v)
-                    comp_projects |= approvals[v]
-                    grew = True
-        comps.append((tuple(v for v in voters if v in comp_voters), frozenset(comp_projects)))
-        remaining = [v for v in remaining if v not in comp_voters]
-    return comps
+def _slice_cases(instance):
+    """Check that the instance may be searched, and return its root slice
+    (None when it has no voters) with a memoized map from a slice to its
+    cases.
 
+    A slice is a (voters, projects, budget) triple; only approved projects
+    take part, since a project nobody approves can never appear in a
+    laminar proportional bundle.  A case is (project, children), listed in
+    search order:
 
-def _is_unanimous(approvals):
-    sets = list(approvals.values())
-    return all(s == sets[0] for s in sets)
+    - (None, ()) when the slice is unanimous and its projects cover the
+      budget: a leaf;
+    - (c, (child,)) for each commonly approved c cheaper than the budget,
+      in id order: c stacked on the rest of the slice;
+    - (None, (left, right)) when the approval graph is disconnected: the
+      component of the first voter split off from the rest, each with its
+      voter-proportional part of the budget.
 
-
-def recognize_laminar(instance: PBInstance):
-    """Return a certification tree, or None when the instance is not laminar.
-
-    Only approved projects take part in the structure; a project nobody
-    approves can never appear in a laminar proportional bundle.
+    A slice has cases of one kind at most.  Removing a common project from
+    a unanimous slice leaves it unanimous, so c is stacked only on a
+    non-unanimous slice; a common project joins all voters into one
+    component.  A voter approving nothing in the slice can never sit in a
+    unanimous block with positive budget, so such a slice has no case.
     """
     if not instance.is_approval:
         raise ValueError("laminar recognition requires an approval instance")
     if len(instance.voters) > LAMINAR_MAX_BITS or len(instance.projects) > LAMINAR_MAX_BITS:
         raise NotLaminarError("instance exceeds laminar-search caps")
+    approval = {v: instance.approval_set(v) for v in instance.voters}
     memo = {}
 
-    def rec(voters, projects, budget):
-        key = (voters, projects, budget)
-        if key in memo:
-            return memo[key]
-        memo[key] = None  # cycle guard; budgets strictly shrink, so unused
-        approvals = _slice_approvals(instance, voters, projects)
-        result = None
-        if any(not a for a in approvals.values()):
-            # A voter approving nothing can never sit in a unanimous block
-            # with positive budget, so no decomposition exists.
-            memo[key] = None
-            return None
-        if _is_unanimous(approvals) and instance.cost_of(projects) >= budget:
-            result = UnanimousLeaf(voters, projects, budget)
-        if result is None:
-            common = sorted(set.intersection(*(set(a) for a in approvals.values())))
-            for c in common:
-                rest = projects - {c}
-                child_budget = budget - instance.cost[c]
-                if child_budget <= 0:
-                    continue
-                child_approvals = {v: a - {c} for v, a in approvals.items()}
-                if _is_unanimous(child_approvals):
-                    continue
-                child = rec(voters, frozenset(rest), child_budget)
-                if child is not None:
-                    result = UnanimousProject(c, child, voters, projects, budget)
-                    break
-        if result is None:
-            comps = _components(voters, approvals)
-            if len(comps) >= 2:
-                n = len(voters)
-                lv, lp = comps[0]
-                rv = tuple(v for v in voters if v not in lv)
-                rp = frozenset(projects - lp)
-                left = rec(lv, lp, budget * len(lv) / n)
-                if left is not None:
-                    right = rec(rv, rp, budget * len(rv) / n)
-                    if right is not None:
-                        result = Split(left, right, voters, projects, budget)
-        memo[key] = result
-        return result
+    def cases(s):
+        if s in memo:
+            return memo[s]
+        voters, projects, budget = s
+        approvals = {v: approval[v] & projects for v in voters}
+        sets = list(approvals.values())
+        out = []
+        if all(sets):
+            common = frozenset.intersection(*sets)
+            if all(a == common for a in sets):
+                if instance.cost_of(projects) >= budget:
+                    out.append((None, ()))
+            elif common:
+                for c in sorted(common):
+                    if budget > instance.cost[c]:
+                        child = (voters, projects - {c}, budget - instance.cost[c])
+                        out.append((c, (child,)))
+            else:
+                lv, lp = _first_component(voters, approvals)
+                if len(lv) < len(voters):
+                    rv = tuple(v for v in voters if v not in lv)
+                    left = (lv, lp, budget * len(lv) / len(voters))
+                    right = (rv, projects - lp, budget * len(rv) / len(voters))
+                    out.append((None, (left, right)))
+        memo[s] = out
+        return out
 
     voters = tuple(instance.voters)
-    approved = frozenset(
-        c for c in instance.projects if any(instance.utilities[v][c] == 1 for v in voters)
-    )
     if not voters:
-        return None
-    return rec(voters, approved, instance.budget)
+        return None, cases
+    return (voters, frozenset().union(*approval.values()), instance.budget), cases
+
+
+def _fills_leaf(instance, s, w):
+    """w is a maximal affordable part of the leaf's agreed projects: it fits
+    in the slice budget and no other project of the slice fits beside it."""
+    room = s[2] - instance.cost_of(w)
+    return room >= 0 and not any(instance.cost[c] <= room for c in s[1] - w)
+
+
+def _certifier(instance, cases):
+    """Memoized certifying(slice, w): the first case of the slice that
+    certifies w, or None.  A leaf must be filled by w, a stacked project
+    must be in w, and each child slice must certify its part of w."""
+    memo = {}
+
+    def certifies(s, case, w):
+        c, children = case
+        if not children:
+            return _fills_leaf(instance, s, w)
+        return (c is None or c in w) and all(certifying(t, w & t[1]) for t in children)
+
+    def certifying(s, w):
+        if (s, w) not in memo:
+            fits = (case for case in cases(s) if w <= s[1] and certifies(s, case, w))
+            memo[s, w] = next(fits, None)
+        return memo[s, w]
+
+    return certifying
+
+
+def _laminar_root(instance):
+    """The certification tree; raise NotLaminarError when there is none."""
+    root = recognize_laminar(instance)
+    if root is None:
+        raise NotLaminarError("instance is not laminar")
+    return root
+
+
+def recognize_laminar(instance: PBInstance):
+    """Return a certification tree, or None when the instance is not laminar.
+
+    Takes the first case of each slice whose children are all laminar.
+    """
+    root, cases = _slice_cases(instance)
+    memo = {}
+
+    def tree(s, c, children):
+        nodes = []
+        for t in children:
+            nodes.append(rec(t))
+            if nodes[-1] is None:
+                return None
+        if not children:
+            return UnanimousLeaf(*s)
+        if c is None:
+            return Split(*nodes, *s)
+        return UnanimousProject(c, *nodes, *s)
+
+    def rec(s):
+        if s not in memo:
+            trees = (tree(s, *case) for case in cases(s))
+            memo[s] = next((t for t in trees if t is not None), None)
+        return memo[s]
+
+    return None if root is None else rec(root)
 
 
 def is_laminar_proportional(instance: PBInstance, bundle) -> AxiomVerdict:
@@ -164,173 +217,66 @@ def is_laminar_proportional(instance: PBInstance, bundle) -> AxiomVerdict:
     block fills exactly its share of seats; without it, bundles that
     underspend one wing lose priceability and core guarantees."""
     bundle = check_bundle(instance, bundle)
-    root = recognize_laminar(instance)
-    if root is None:
-        raise NotLaminarError("instance is not laminar")
-    memo = {}
-
-    def cert(voters, projects, budget, w):
-        key = (voters, projects, budget, w)
-        if key in memo:
-            return memo[key]
-        memo[key] = False
-        if not w <= projects:
-            return False
-        approvals = _slice_approvals(instance, voters, projects)
-        ok = False
-        if any(not a for a in approvals.values()):
-            memo[key] = False
-            return False
-        if (
-            _is_unanimous(approvals)
-            and instance.cost_of(projects) >= budget
-            and instance.cost_of(w) <= budget
-        ):
-            room = budget - instance.cost_of(w)
-            ok = not any(instance.cost[c] <= room for c in projects - w)
-        if not ok:
-            common = sorted(set.intersection(*(set(a) for a in approvals.values())))
-            for c in common:
-                child_budget = budget - instance.cost[c]
-                if child_budget <= 0:
-                    continue
-                child_approvals = {v: a - {c} for v, a in approvals.items()}
-                if _is_unanimous(child_approvals):
-                    continue
-                if c in w and cert(
-                    voters, frozenset(projects - {c}), child_budget, w - {c}
-                ):
-                    ok = True
-                    break
-        if not ok:
-            comps = _components(voters, approvals)
-            if len(comps) >= 2:
-                n = len(voters)
-                lv, lp = comps[0]
-                rv = tuple(v for v in voters if v not in lv)
-                rp = frozenset(projects - lp)
-                ok = cert(lv, lp, budget * len(lv) / n, w & lp) and cert(
-                    rv, rp, budget * len(rv) / n, w & rp
-                )
-        memo[key] = ok
-        return ok
-
-    voters = tuple(instance.voters)
-    if cert(root.voters, root.projects, root.budget, frozenset(bundle)):
+    root, cases = _slice_cases(instance)
+    if root is not None and _certifier(instance, cases)(root, bundle):
         return AxiomVerdict(SATISFIED)
+    _laminar_root(instance)
     return AxiomVerdict(VIOLATED, witness="no decomposition certifies the bundle")
 
 
 def laminar_bundles(instance: PBInstance):
-    """All bundles certified laminar proportional, in canonical order."""
-    root = recognize_laminar(instance)
-    if root is None:
-        raise NotLaminarError("instance is not laminar")
+    """All bundles certified laminar proportional, in canonical order: the
+    union over every case of every slice."""
+    root, cases = _slice_cases(instance)
     memo = {}
 
-    def enum(voters, projects, budget):
-        key = (voters, projects, budget)
-        if key in memo:
-            return memo[key]
-        memo[key] = frozenset()
-        approvals = _slice_approvals(instance, voters, projects)
-        out = set()
-        if any(not a for a in approvals.values()):
-            memo[key] = frozenset()
-            return frozenset()
-        if _is_unanimous(approvals) and instance.cost_of(projects) >= budget:
-            items = sorted(projects)
-            for mask in range(1 << len(items)):
-                w = frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
-                room = budget - instance.cost_of(w)
-                if room >= 0 and not any(
-                    instance.cost[c] <= room for c in projects - w
-                ):
-                    out.add(w)
-        common = sorted(set.intersection(*(set(a) for a in approvals.values())))
-        for c in common:
-            child_budget = budget - instance.cost[c]
-            if child_budget <= 0:
-                continue
-            child_approvals = {v: a - {c} for v, a in approvals.items()}
-            if _is_unanimous(child_approvals):
-                continue
-            for w in enum(voters, frozenset(projects - {c}), child_budget):
-                out.add(w | {c})
-        comps = _components(voters, approvals)
-        if len(comps) >= 2:
-            n = len(voters)
-            lv, lp = comps[0]
-            rv = tuple(v for v in voters if v not in lv)
-            rp = frozenset(projects - lp)
-            lefts = enum(lv, lp, budget * len(lv) / n)
-            rights = enum(rv, rp, budget * len(rv) / n)
-            for a in lefts:
-                for b in rights:
-                    out.add(a | b)
-        memo[key] = frozenset(out)
-        return memo[key]
+    def enum(s):
+        if s not in memo:
+            out = set()
+            for c, children in cases(s):
+                if children:
+                    head = frozenset() if c is None else frozenset([c])
+                    out.update(head.union(*ws) for ws in product(*map(enum, children)))
+                else:
+                    for r in range(len(s[1]) + 1):
+                        leaf = map(frozenset, combinations(sorted(s[1]), r))
+                        out.update(w for w in leaf if _fills_leaf(instance, s, w))
+            memo[s] = out
+        return memo[s]
 
-    bundles = enum(root.voters, root.projects, root.budget)
+    bundles = set() if root is None else enum(root)
+    if not bundles:
+        _laminar_root(instance)
     yield from sorted(bundles, key=lambda w: tuple(sorted(w)))
 
 
 def laminar_price_system(instance: PBInstance, bundle):
     """Constructive supporting price system with initial budget cost(W),
-    assembled along the decomposition: leaf members split each selected
-    project's cost evenly, a unanimous project is paid cost/n by its whole
-    voter slice, and a split takes the disjoint union of its wings."""
+    assembled along the first decomposition that certifies W: leaf members
+    split each selected project's cost evenly, a unanimous project is paid
+    cost/n by its whole voter slice, and a split takes the disjoint union of
+    its wings."""
     bundle = check_bundle(instance, bundle)
-    root = recognize_laminar(instance)
-    if root is None:
-        raise NotLaminarError("instance is not laminar")
+    root, cases = _slice_cases(instance)
+    certifying = _certifier(instance, cases)
 
-    def build(voters, projects, budget, w):
-        if not w <= projects:
-            return None
-        approvals = _slice_approvals(instance, voters, projects)
-        if any(not a for a in approvals.values()):
-            return None
-        nv = len(voters)
-        if (
-            _is_unanimous(approvals)
-            and instance.cost_of(projects) >= budget
-            and instance.cost_of(w) <= budget
-        ):
-            room = budget - instance.cost_of(w)
-            if not any(instance.cost[c] <= room for c in projects - w):
-                return {v: {c: instance.cost[c] / nv for c in w} for v in voters}
-        common = sorted(set.intersection(*(set(a) for a in approvals.values())))
-        for c in common:
-            child_budget = budget - instance.cost[c]
-            if child_budget <= 0:
-                continue
-            child_approvals = {v: a - {c} for v, a in approvals.items()}
-            if _is_unanimous(child_approvals):
-                continue
-            if c not in w:
-                continue
-            child = build(voters, frozenset(projects - {c}), child_budget, w - {c})
-            if child is not None:
-                for v in voters:
-                    child.setdefault(v, {})[c] = instance.cost[c] / nv
-                return child
-        comps = _components(voters, approvals)
-        if len(comps) >= 2:
-            lv, lp = comps[0]
-            rv = tuple(v for v in voters if v not in lv)
-            rp = frozenset(projects - lp)
-            left = build(lv, lp, budget * len(lv) / nv, w & lp)
-            if left is not None:
-                right = build(rv, rp, budget * len(rv) / nv, w & rp)
-                if right is not None:
-                    left.update(right)
-                    return left
-        return None
+    def build(s, w):
+        voters = s[0]
+        c, children = certifying(s, w)
+        if not children:
+            return {v: {d: instance.cost[d] / len(voters) for d in w} for v in voters}
+        payments = {}
+        for t in children:
+            payments.update(build(t, w & t[1]))
+        if c is not None:
+            for v in voters:
+                payments.setdefault(v, {})[c] = instance.cost[c] / len(voters)
+        return payments
 
-    payments = build(root.voters, root.projects, root.budget, frozenset(bundle))
-    if payments is None:
+    if root is None or not certifying(root, bundle):
+        _laminar_root(instance)
         raise NotLaminarError("bundle is not laminar proportional")
+    payments = build(root, bundle)
     for v in instance.voters:
         payments.setdefault(v, {})
     return PriceSystem(instance.cost_of(bundle), payments)
@@ -372,9 +318,7 @@ def check_core_u_afford(instance: PBInstance, bundle) -> AxiomVerdict:
     """Core restricted to deviations whose target is u-affordable w.r.t.
     the unanimous projects scoped to the deviating group's branch."""
     bundle = check_bundle(instance, bundle)
-    root = recognize_laminar(instance)
-    if root is None:
-        raise NotLaminarError("instance is not laminar")
+    root = _laminar_root(instance)
     n = len(instance.voters)
     uW = {v: instance.voter_utility(v, bundle) for v in instance.voters}
     projects = list(instance.projects)
@@ -398,7 +342,8 @@ def check_core_u_afford(instance: PBInstance, bundle) -> AxiomVerdict:
         group = frozenset(better)
         if is_u_affordable(instance, target, pool_for(group)):
             witness = CoreWitness(group, target)
-            assert validate_core_witness(instance, bundle, witness)
+            if not validate_core_witness(instance, bundle, witness):
+                raise CertificateError(f"core witness fails: {witness}")
             return AxiomVerdict(VIOLATED, witness)
     return AxiomVerdict(SATISFIED)
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from .model import CertificateError
+
 LEQ = "<="
 EQ = "=="
 GEQ = ">="
@@ -192,5 +194,6 @@ def lp_feasible(system: LinearSystem) -> FeasibilityResult:
         v: sum((sign * values[j] for j, sign in col_of[v]), Fraction(0))
         for v in system.variables
     }
-    assert system.satisfied_by(assignment)
+    if not system.satisfied_by(assignment):
+        raise CertificateError("simplex assignment violates the system")
     return FeasibilityResult(True, assignment)

@@ -13,6 +13,14 @@ from fractions import Fraction
 from typing import Iterable
 
 
+class EnumerationCapError(Exception):
+    """An exhaustive search would exceed its configured size cap."""
+
+
+class CertificateError(Exception):
+    """A computed witness or certificate failed its independent re-check."""
+
+
 def as_fraction(value) -> Fraction:
     """Parse a value to an exact Fraction ("7/10" and "0.35" both exact)."""
     if isinstance(value, Fraction):
@@ -88,12 +96,6 @@ class PBInstance:
 Bundle = frozenset
 
 
-@dataclass(frozen=True)
-class GroupUtilityQuery:
-    group: frozenset  # voter ids
-    target: frozenset  # project ids
-
-
 @dataclass
 class ValidationReport:
     problems: list = field(default_factory=list)
@@ -109,6 +111,8 @@ class ValidationReport:
 def validate(instance: PBInstance) -> ValidationReport:
     """List every violated instance invariant; empty report iff well-formed."""
     report = ValidationReport()
+    if not instance.voters:
+        report.add("no voters")
     if len(set(instance.voters)) != len(instance.voters):
         report.add("duplicate voter id")
     if len(set(instance.projects)) != len(instance.projects):
@@ -151,19 +155,6 @@ def binarize(instance: PBInstance, threshold) -> PBInstance:
         utilities,
         instance.budget,
         instance.description,
-    )
-
-
-def group_utility(instance: PBInstance, query: GroupUtilityQuery) -> Fraction:
-    for v in query.group:
-        if v not in instance.utilities:
-            raise KeyError(f"unknown voter {v}")
-    for c in query.target:
-        if c not in instance.cost:
-            raise KeyError(f"unknown project {c}")
-    return sum(
-        (instance.utilities[v][c] for v in query.group for c in query.target),
-        Fraction(0),
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .model import PBInstance, check_bundle
+from .model import CertificateError, EnumerationCapError, PBInstance, check_bundle
 
 PAV_MAX_PROJECTS = int(os.environ.get("PBPROP_PAV_MAX_PROJECTS", "20"))
 
@@ -23,10 +23,6 @@ STOP_NO_PROJECT = "no-affordable-project"
 
 class NotApprovalError(Exception):
     """Rule requires an approval instance (all utilities 0/1)."""
-
-
-class EnumerationCapError(Exception):
-    pass
 
 
 def _require_approval(instance):
@@ -143,18 +139,9 @@ def pav(instance: PBInstance, collect_ties=False):
     return winner, best_score
 
 
-class NotAffordable:
-    """Sentinel: no price-per-utility makes the project affordable."""
-
-    def __repr__(self):
-        return "NotAffordable"
-
-
-NOT_AFFORDABLE = NotAffordable()
-
-
 def min_rho(instance: PBInstance, paid_so_far, project):
-    """Minimal rho >= 0 with sum_i min(share - paid_i, u_i(c) * rho) = cost(c).
+    """Minimal rho >= 0 with sum_i min(share - paid_i, u_i(c) * rho) = cost(c),
+    or None when no rho makes the project affordable.
 
     ``paid_so_far`` maps voters to what they already spent out of their
     equal share budget/n.  Solved exactly by walking the sorted breakpoints
@@ -172,7 +159,7 @@ def min_rho(instance: PBInstance, paid_so_far, project):
             raise ValueError(f"voter {v} overspent its share")
         contributors.append((rem / u, rem, u))
     if sum((rem for _, rem, _ in contributors), Fraction(0)) < cost:
-        return NOT_AFFORDABLE
+        return None
     contributors.sort()
     capped = Fraction(0)  # paid by voters already at their cap
     slope = sum((u for _, _, u in contributors), Fraction(0))
@@ -185,7 +172,8 @@ def min_rho(instance: PBInstance, paid_so_far, project):
         slope -= u
         prev = bp
     # Total equals cost exactly at the last breakpoint.
-    assert capped == cost
+    if capped != cost:
+        raise CertificateError(f"breakpoint walk for {project} ends at {capped}")
     return prev
 
 
@@ -216,7 +204,7 @@ def rule_x(instance: PBInstance, collect_ties=False):
         candidates = []
         for c in remaining:
             rho = min_rho(instance, paid, c)
-            if rho is not NOT_AFFORDABLE:
+            if rho is not None:
                 candidates.append((rho, c))
         if not candidates:
             break
@@ -231,7 +219,8 @@ def rule_x(instance: PBInstance, collect_ties=False):
             if p > 0:
                 payments[v] = p
                 paid[v] += p
-        assert sum(payments.values(), Fraction(0)) == instance.cost[c]
+        if sum(payments.values(), Fraction(0)) != instance.cost[c]:
+            raise CertificateError(f"rule X payments for {c} do not sum to its cost")
         trace.rounds.append(
             RuleXRound(rho, c, payments, tied if collect_ties else ())
         )

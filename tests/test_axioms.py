@@ -23,6 +23,7 @@ from pbprop import (
 )
 from pbprop.axioms import CohesivenessWitness, EnumerationCapError
 from pbprop.fixtures import get_fixture
+from pbprop.model import CertificateError
 from pbprop.oracle import random_bundle
 
 
@@ -31,6 +32,12 @@ def test_core_detects_blocking_pair():
     verdict = check_core(inst, {"c1", "c2", "c3"})
     assert not verdict.satisfied
     assert validate_core_witness(inst, frozenset({"c1", "c2", "c3"}), verdict.witness)
+
+
+def test_core_witness_failing_recheck_raises(monkeypatch):
+    monkeypatch.setattr("pbprop.axioms.validate_core_witness", lambda *a: False)
+    with pytest.raises(CertificateError):
+        check_core(get_fixture("tall_stack"), frozenset())
 
 
 def test_core_satisfied_on_unit_split():

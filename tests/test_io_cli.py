@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,8 @@ from pbprop import (
 from pbprop.cli import main
 from pbprop.fixtures import FIXTURES, get_fixture
 from pbprop.io import FormatError, load_instance
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 MINIMAL = """
 {
@@ -62,6 +65,17 @@ def test_parse_rejects_bad_input():
             '{"meta": {"budget": "1"}, "projects": [{"id": "p", "cost": "1"}],'
             ' "voters": [{"id": "a", "utilities": {"p": "2"}}]}'
         )
+    with pytest.raises(FormatError, match="no voters"):
+        parse_instance(
+            '{"meta": {"budget": "1"}, "projects": [{"id": "c1", "cost": "1"}],'
+            ' "voters": []}'
+        )
+    with pytest.raises(FormatError):  # .pb: VOTES row without a vote field
+        parse_pabulib(PB_FILE.replace("b;q", "b"))
+    with pytest.raises(FormatError):  # .pb: PROJECTS row without a cost field
+        parse_pabulib(PB_FILE.replace("q;1", "q"))
+    with pytest.raises(FormatError):  # .pb: duplicate project id
+        parse_pabulib(PB_FILE.replace("q;1", "q;1\np;9"))
 
 
 def test_fixtures_round_trip():
@@ -186,6 +200,12 @@ def test_cli_laminar(tmp_path, capsys):
     assert "split" in out
 
 
+def test_cli_laminar_rejects_non_laminar(capsys):
+    assert main(["laminar", str(INSTANCES / "common_tail.json")]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "not laminar: instance is not laminar"
+
+
 def test_cli_gen_round_trips(tmp_path, capsys):
     out_path = tmp_path / "gen.json"
     assert main(["gen", "laminar", "--seed", "5", "--out", str(out_path)]) == 0
@@ -200,6 +220,11 @@ def test_cli_search(capsys):
     assert main(["search", "--assume", "ejr", "--conclude", "pjr",
                  "--trials", "40", "--seed", "0"]) == 0
     assert "NoneFound" in capsys.readouterr().out
+
+
+def test_cli_search_skips_non_laminar_draws(capsys):
+    assert main(["search", "--assume", "laminarprop", "--conclude", "priceable",
+                 "--trials", "20", "--seed", "0"]) == 0
 
 
 def test_cli_usage_errors(capsys, tmp_path):

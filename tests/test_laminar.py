@@ -56,6 +56,12 @@ def test_recognize_rejects_non_laminar():
     assert recognize_laminar(inst) is None
     with pytest.raises(NotLaminarError):
         is_laminar_proportional(inst, {"q"})
+    with pytest.raises(NotLaminarError):
+        list(laminar_bundles(inst))
+    with pytest.raises(NotLaminarError, match="instance is not laminar"):
+        laminar_price_system(inst, {"q"})
+    with pytest.raises(NotLaminarError):
+        check_core_u_afford(inst, {"q"})
 
 
 def test_single_leaf_instance():
@@ -121,6 +127,30 @@ def test_constructive_price_system_validates_on_generated_instances():
             assert validate_price_system(inst, w, ps).ok
             checked += 1
     assert checked > 0
+
+
+def test_enumeration_matches_certification_over_all_bundles():
+    # The union fold (enumeration) and the existential fold (certification)
+    # agree on every subset, and each certified bundle has a price system.
+    instances = [generate_laminar(seed, max_leaf_projects=2) for seed in range(12)]
+    instances += [generate_laminar_mwv(seed) for seed in range(12)]
+    checked = 0
+    for inst in instances:
+        projects = inst.projects
+        if len(projects) > 8 or len(inst.voters) > 8:
+            continue
+        subsets = [
+            frozenset(c for i, c in enumerate(projects) if mask >> i & 1)
+            for mask in range(1 << len(projects))
+        ]
+        certified = {w for w in subsets if is_laminar_proportional(inst, w).satisfied}
+        assert set(laminar_bundles(inst)) == certified
+        for w in certified:
+            ps = laminar_price_system(inst, w)
+            assert validate_price_system(inst, w, ps).ok
+            assert ps.initial_budget == inst.cost_of(w)
+        checked += 1
+    assert checked >= 12
 
 
 def test_u_affordability_is_pointwise_cost_domination():

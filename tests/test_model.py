@@ -1,13 +1,16 @@
 """Data model: parsing, normalization, validation, binarization."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pbprop
 from pbprop import PBInstance, as_fraction, binarize, validate
-from pbprop.model import GroupUtilityQuery, check_bundle, group_utility
+from pbprop.model import check_bundle
 
 
 def tiny():
@@ -118,15 +121,18 @@ def test_binarize_always_approval(threshold):
     assert binarize(tiny(), threshold).is_approval
 
 
-def test_group_utility_sums_over_pairs():
-    inst = tiny()
-    q = GroupUtilityQuery(frozenset({"a", "b"}), frozenset({"p1", "p2"}))
-    assert group_utility(inst, q) == 1 + Fraction(3, 4)
-    with pytest.raises(KeyError):
-        group_utility(inst, GroupUtilityQuery(frozenset({"z"}), frozenset()))
-
-
 def test_check_bundle_rejects_unknown_projects():
     with pytest.raises(KeyError):
         check_bundle(tiny(), {"p1", "nope"})
     assert check_bundle(tiny(), ["p1"]) == frozenset({"p1"})
+
+
+def test_no_assert_statements_in_package():
+    # Self-checks raise CertificateError so that they still run under -O.
+    package = Path(pbprop.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert modules
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert not lines, f"{path.name}: assert at lines {lines}"

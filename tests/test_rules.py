@@ -19,7 +19,6 @@ from pbprop import (
 )
 from pbprop.fixtures import get_fixture
 from pbprop.rules import (
-    NOT_AFFORDABLE,
     STOP_BUDGET,
     EnumerationCapError,
     NotApprovalError,
@@ -133,10 +132,7 @@ def test_min_rho_breakpoint_walk():
     assert min_rho(inst, {}, "p") == Fraction(2, 3)
     # With a's share spent, b alone covers the cost with its whole share.
     assert min_rho(inst, {"a": Fraction(1)}, "p") == 2
-    assert (
-        min_rho(inst, {"a": Fraction(1), "b": Fraction(1, 2)}, "p")
-        is NOT_AFFORDABLE
-    )
+    assert min_rho(inst, {"a": Fraction(1), "b": Fraction(1, 2)}, "p") is None
 
 
 def test_rule_x_quartet_trace():
