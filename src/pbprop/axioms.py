@@ -10,6 +10,7 @@ witness found is reproducible.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -138,6 +139,49 @@ def _cost_by_mask(instance):
     return costs
 
 
+def _scaled(values):
+    """Integers over the values' least common denominator, and that
+    denominator."""
+    den = math.lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def core_deviations(instance, bundle):
+    """Yield (group, target) for every nonempty target T, in increasing
+    mask order over the project ids, whose strict preferrers (the group,
+    nonempty) can afford T with their share of the budget.
+
+    Costs and utilities are integers, over one denominator for costs and
+    one per voter, summed per mask from the mask without its lowest bit;
+    the tables grow only as far as the caller iterates."""
+    projects = instance.projects
+    voters = instance.voters
+    n = len(voters)
+    cost_int, cost_den = _scaled([instance.cost[c] for c in projects])
+    gains = [[] for _ in projects]  # gains[i][k]: voter k's utility for project i
+    bundle_utility = []
+    for v in voters:
+        ints, _ = _scaled([instance.utilities[v][c] for c in projects])
+        for gain, x in zip(gains, ints):
+            gain.append(x)
+        bundle_utility.append(sum(x for x, c in zip(ints, projects) if c in bundle))
+    # len(better) * budget >= cost(T) * n, with cost(T) = cost_sum / cost_den.
+    share = instance.budget.numerator * cost_den
+    scale = instance.budget.denominator * n
+    costs = [0]
+    utilities = [[0] * n]
+    for mask in range(1, 1 << len(projects)):
+        low = mask & -mask
+        i = low.bit_length() - 1
+        cost = costs[mask ^ low] + cost_int[i]
+        row = [a + b for a, b in zip(utilities[mask ^ low], gains[i])]
+        costs.append(cost)
+        utilities.append(row)
+        better = [v for v, a, w in zip(voters, row, bundle_utility) if a > w]
+        if better and len(better) * share >= cost * scale:
+            yield frozenset(better), frozenset(_mask_members(mask, projects))
+
+
 def check_core(instance: PBInstance, bundle) -> AxiomVerdict:
     """A bundle is blocked by (S, T) when S can afford T with its share of
     the budget and every member strictly prefers T.  For each T the maximal
@@ -145,26 +189,11 @@ def check_core(instance: PBInstance, bundle) -> AxiomVerdict:
     enumerated."""
     _check_caps(instance)
     bundle = check_bundle(instance, bundle)
-    n = len(instance.voters)
-    uW = {v: instance.voter_utility(v, bundle) for v in instance.voters}
-    costs = _cost_by_mask(instance)
-    m = len(instance.projects)
-    uT = {v: [Fraction(0)] * (1 << m) for v in instance.voters}
-    for v in instance.voters:
-        row = uT[v]
-        util = instance.utilities[v]
-        for mask in range(1, 1 << m):
-            low = mask & -mask
-            row[mask] = row[mask ^ low] + util[instance.projects[low.bit_length() - 1]]
-    for mask in range(1, 1 << m):
-        better = [v for v in instance.voters if uT[v][mask] > uW[v]]
-        if better and len(better) * instance.budget >= costs[mask] * n:
-            witness = CoreWitness(
-                frozenset(better), frozenset(_mask_members(mask, instance.projects))
-            )
-            if not validate_core_witness(instance, bundle, witness):
-                raise CertificateError(f"core witness fails: {witness}")
-            return AxiomVerdict(VIOLATED, witness)
+    for group, target in core_deviations(instance, bundle):
+        witness = CoreWitness(group, target)
+        if not validate_core_witness(instance, bundle, witness):
+            raise CertificateError(f"core witness fails: {witness}")
+        return AxiomVerdict(VIOLATED, witness)
     return AxiomVerdict(SATISFIED)
 
 

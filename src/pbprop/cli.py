@@ -4,7 +4,8 @@ Subcommands: run (a voting rule), check (an axiom against a bundle),
 laminar (recognition + decomposition dump), gen (instance generators),
 search (randomized counterexample hunt), paper-verify (the built-in
 fixture suite).  Exit status: 0 success or Satisfied, 1 Violated (or not
-laminar), 2 usage error.
+laminar), 2 usage error, malformed input, an instance over a size cap, or
+an instance the command is not defined on.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ from .laminar import (
     generate_laminar,
     recognize_laminar,
 )
-from .model import as_fraction, binarize
+from .linsolve import ResourceLimitError
+from .model import EnumerationCapError, as_fraction, binarize
 from .oracle import GeneratorSpec, random_instance, search_counterexample
 from .registry import MAIN_CHECKERS
-from .rules import pav, phragmen, rule_x
+from .rules import NotApprovalError, pav, phragmen, rule_x
 from .verify import run_verification
 
 RULES = ("phragmen", "pav", "rulex")
@@ -145,14 +147,15 @@ def _dump_tree(node, out, indent="  "):
 
 def _cmd_laminar(args, out):
     instance = load_instance(args.file)
-    out.write(REPORT_HEADER + "\n")
     try:
         root = recognize_laminar(instance)
         if root is None:
             raise NotLaminarError("instance is not laminar")
     except NotLaminarError as exc:
+        out.write(REPORT_HEADER + "\n")
         out.write(f"not laminar: {exc}\n")
         return 1
+    out.write(REPORT_HEADER + "\n")
     out.write(f"laminar instance {args.file}\n")
     _dump_tree(root, out)
     return 0
@@ -272,7 +275,15 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, sys.stdout)
-    except (FormatError, OSError, ValueError, KeyError) as exc:
+    except (
+        FormatError,
+        OSError,
+        ValueError,
+        KeyError,
+        EnumerationCapError,
+        ResourceLimitError,
+        NotApprovalError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

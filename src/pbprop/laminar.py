@@ -26,9 +26,10 @@ from .axioms import (
     AxiomVerdict,
     CoreWitness,
     PriceSystem,
+    core_deviations,
     validate_core_witness,
 )
-from .model import CertificateError, PBInstance, check_bundle
+from .model import CertificateError, EnumerationCapError, PBInstance, check_bundle
 
 LAMINAR_MAX_BITS = int(os.environ.get("PBPROP_LAMINAR_MAX_BITS", "16"))
 
@@ -105,7 +106,7 @@ def _slice_cases(instance):
     if not instance.is_approval:
         raise ValueError("laminar recognition requires an approval instance")
     if len(instance.voters) > LAMINAR_MAX_BITS or len(instance.projects) > LAMINAR_MAX_BITS:
-        raise NotLaminarError("instance exceeds laminar-search caps")
+        raise EnumerationCapError("instance exceeds laminar-search caps")
     approval = {v: instance.approval_set(v) for v in instance.voters}
     memo = {}
 
@@ -319,9 +320,6 @@ def check_core_u_afford(instance: PBInstance, bundle) -> AxiomVerdict:
     the unanimous projects scoped to the deviating group's branch."""
     bundle = check_bundle(instance, bundle)
     root = _laminar_root(instance)
-    n = len(instance.voters)
-    uW = {v: instance.voter_utility(v, bundle) for v in instance.voters}
-    projects = list(instance.projects)
     pools = {}
 
     def pool_for(group):
@@ -329,17 +327,11 @@ def check_core_u_afford(instance: PBInstance, bundle) -> AxiomVerdict:
             pools[group] = unanimous_pool(root, set(group))
         return pools[group]
 
-    for tmask in range(1, 1 << len(projects)):
-        target = frozenset(projects[i] for i in range(len(projects)) if tmask >> i & 1)
-        tcost = instance.cost_of(target)
-        better = [v for v in instance.voters if instance.voter_utility(v, target) > uW[v]]
-        if not better or len(better) * instance.budget < tcost * n:
-            continue
+    for group, target in core_deviations(instance, bundle):
         # Only the full set of strict preferrers needs testing: shrinking
         # the group pushes it deeper into the decomposition, which only
         # grows its unanimity pool and so only tightens u-affordability,
         # while also shrinking the group's budget share.
-        group = frozenset(better)
         if is_u_affordable(instance, target, pool_for(group)):
             witness = CoreWitness(group, target)
             if not validate_core_witness(instance, bundle, witness):

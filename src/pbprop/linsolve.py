@@ -2,13 +2,36 @@
 
 All coefficients, right-hand sides and solution values are
 ``fractions.Fraction``; verdicts are exact decisions, never approximate.
-The solver is a dense two-phase simplex (phase I only, since we only need
-feasibility plus one witness point) with Bland's pivoting rule, which
-terminates on every input.
+The solver is a phase-I simplex (we only need feasibility plus one witness
+point) that never builds a ``Fraction`` while it pivots.
+
+Each tableau row, the phase-I objective row included, is a sparse dict
+``{column: nonzero int}`` over one positive integer denominator, with an
+integer right-hand side over the same denominator.  A pivot scales the
+pivot row's denominator to the pivot entry; every other row ``r`` with
+entry ``f`` in the entering column becomes ``r * p - f * pivot_row``
+(fraction-free, in the spirit of Bareiss 1968), touching the pivot row's
+nonzeros only, and is then divided by the gcd of its entries, right-hand
+side and denominator.  The ratio test compares ratios by cross-multiplying
+integers.  Values become ``Fraction``s only when the assignment is read
+off at the end.
+
+The pivot rules fix which vertex is returned:
+
+- columns are the variables, then a negated copy of each free variable,
+  then one slack per inequality, then one artificial per row; a row whose
+  right-hand side is negative is negated first;
+- the entering column is Dantzig's (the first column with the largest
+  reduced cost) for ``20 * (rows + columns)`` iterations, then Bland's
+  (the lowest column with a positive reduced cost), which terminates on
+  every input;
+- ratio-test ties go to the row whose basic variable has the lowest
+  column.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -77,6 +100,45 @@ class FeasibilityResult:
     assignment: Optional[dict] = None  # variable name -> Fraction, when feasible
 
 
+def _integer_row(values):
+    """Scale a {column: Fraction} row and its right-hand side (key None) to
+    (entries, rhs, denominator) in lowest terms."""
+    den = math.lcm(*[a.denominator for a in values.values()])
+    row = {j: a.numerator * (den // a.denominator) for j, a in values.items() if a}
+    rhs = row.pop(None, 0)
+    return _reduced(row, rhs, den)
+
+
+def _reduced(row, rhs, den):
+    # One gcd at a time, stopping at 1 (the common case); math.gcd(*row...)
+    # costs as much and leaves a spare tuple on CPython's free lists per call.
+    g = math.gcd(rhs, den)
+    for a in row.values():
+        if g == 1:
+            break
+        g = math.gcd(g, a)
+    if g == 1:
+        return row, rhs, den
+    return {j: a // g for j, a in row.items()}, rhs // g, den // g
+
+
+def _eliminate(row, rhs, den, f, pivot, prhs, pden):
+    """Real row - (f / den) * pivot row, where the pivot row is 1 in the
+    entering column (its entry there equals pden).  The result is 0 in the
+    entering column."""
+    g = math.gcd(f, pden)
+    p, f = pden // g, f // g
+    if p != 1:
+        row = {j: a * p for j, a in row.items()}
+    for j, c in pivot.items():
+        a = row.get(j, 0) - f * c
+        if a:
+            row[j] = a
+        else:
+            del row[j]
+    return _reduced(row, rhs * p - f * prhs, den * p)
+
+
 def lp_feasible(system: LinearSystem) -> FeasibilityResult:
     """Decide exactly whether the system has a rational solution.
 
@@ -96,7 +158,8 @@ def lp_feasible(system: LinearSystem) -> FeasibilityResult:
         return FeasibilityResult(True, {v: Fraction(0) for v in system.variables})
 
     # Column layout: one column per variable, an extra negated column per
-    # free variable, then one slack per inequality.
+    # free variable, then one slack per inequality, then one artificial
+    # per row.
     columns = [(v, 1) for v in system.variables]
     columns += [(v, -1) for v in system.variables if v not in system.nonneg]
     col_of = {}
@@ -104,42 +167,32 @@ def lp_feasible(system: LinearSystem) -> FeasibilityResult:
         col_of.setdefault(v, []).append((j, sign))
     nslack = sum(1 for c in system.constraints if c.relation != EQ)
     ncols = len(columns) + nslack
+    m = len(system.constraints)
+    total = ncols + m
+
+    # rows[i] = (entries, rhs, den): row i is entries / den = rhs / den.
+    # Artificials start basic; the phase-I objective (minimise their sum)
+    # is kept as reduced costs, negated so we can pivot on positives, with
+    # the current objective value as its right-hand side.
     rows = []
-    rhs_col = []
+    obj = {}
     slack_at = 0
-    for con in system.constraints:
-        row = [Fraction(0)] * ncols
+    for i, con in enumerate(system.constraints):
+        values = {None: con.rhs}
         for v, c in con.coeffs.items():
             for j, sign in col_of[v]:
-                row[j] += sign * c
+                values[j] = sign * c
         if con.relation != EQ:
-            sign = Fraction(1) if con.relation == LEQ else Fraction(-1)
-            row[len(columns) + slack_at] = sign
+            values[len(columns) + slack_at] = Fraction(1 if con.relation == LEQ else -1)
             slack_at += 1
-        b = con.rhs
-        if b < 0:
-            row = [-a for a in row]
-            b = -b
-        rows.append(row)
-        rhs_col.append(b)
-
-    m = len(rows)
-    # Append one artificial column per row; artificials start basic.
-    total = ncols + m
-    for i, row in enumerate(rows):
-        row.extend(Fraction(1) if j == i else Fraction(0) for j in range(m))
+        if con.rhs < 0:
+            values = {j: -a for j, a in values.items()}
+        for j, a in values.items():
+            obj[j] = obj.get(j, 0) + a
+        values[ncols + i] = Fraction(1)
+        rows.append(_integer_row(values))
+    obj, obj_val, obj_den = _integer_row(obj)
     basis = [ncols + i for i in range(m)]
-
-    # Phase-I objective: minimise the sum of artificials. Reduced costs are
-    # kept in an explicit objective row (negated so we can pivot on positives).
-    obj = [Fraction(0)] * total
-    obj_val = Fraction(0)
-    for i in range(m):
-        for j in range(total):
-            obj[j] += rows[i][j]
-        obj_val += rhs_col[i]
-    for i in range(m):
-        obj[ncols + i] = Fraction(0)
 
     # Dantzig's rule is fast but can cycle; switch to Bland's rule (which
     # terminates on every input) once the iteration budget is spent.
@@ -148,50 +201,45 @@ def lp_feasible(system: LinearSystem) -> FeasibilityResult:
     while True:
         iterations += 1
         if iterations <= dantzig_budget:
-            enter = max(range(total), key=lambda j: obj[j])
-            if obj[enter] <= 0:
+            enter, top = max(obj.items(), key=lambda t: (t[1], -t[0]), default=(None, 0))
+            if top <= 0:
                 enter = None
         else:
-            enter = next((j for j in range(total) if obj[j] > 0), None)
+            enter = min((j for j, a in obj.items() if a > 0), default=None)
         if enter is None:
             break
-        # Ratio test, ties broken by lowest basis variable index (Bland).
+        # Ratio test rhs_i / a_i over a_i > 0 (the row denominators cancel),
+        # cross-multiplied, ties broken by lowest basis variable index
+        # (Bland).
         leave = None
-        best = None
-        for i in range(m):
-            a = rows[i][enter]
-            if a > 0:
-                ratio = rhs_col[i] / a
-                key = (ratio, basis[i])
-                if best is None or key < best:
-                    best = key
-                    leave = i
+        for i, (row, rhs, _) in enumerate(rows):
+            a = row.get(enter, 0)
+            if a > 0 and (
+                leave is None
+                or (rhs * best_a, basis[i]) < (best_rhs * a, basis[leave])
+            ):
+                leave, best_rhs, best_a = i, rhs, a
         if leave is None:
             # Unbounded phase-I column cannot happen (objective bounded
             # below by 0), but guard against malformed input.
             raise RuntimeError("phase-I simplex unbounded")
-        piv = rows[leave][enter]
-        rows[leave] = [a / piv for a in rows[leave]]
-        rhs_col[leave] /= piv
-        for i in range(m):
-            if i != leave and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[leave])]
-                rhs_col[i] -= f * rhs_col[leave]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [a - f * b for a, b in zip(obj, rows[leave])]
-            obj_val -= f * rhs_col[leave]
+        row, rhs, _ = rows[leave]
+        pivot, prhs, pden = rows[leave] = _reduced(row, rhs, row[enter])
+        for i, (row, rhs, den) in enumerate(rows):
+            f = row.get(enter)
+            if f is not None and i != leave:
+                rows[i] = _eliminate(row, rhs, den, f, pivot, prhs, pden)
+        obj, obj_val, obj_den = _eliminate(
+            obj, obj_val, obj_den, obj[enter], pivot, prhs, pden
+        )
         basis[leave] = enter
 
     if obj_val != 0:
         return FeasibilityResult(False)
 
-    values = [Fraction(0)] * total
-    for i, bj in enumerate(basis):
-        values[bj] = rhs_col[i]
+    values = {bj: Fraction(rhs, den) for bj, (_, rhs, den) in zip(basis, rows)}
     assignment = {
-        v: sum((sign * values[j] for j, sign in col_of[v]), Fraction(0))
+        v: sum((sign * values.get(j, 0) for j, sign in col_of[v]), Fraction(0))
         for v in system.variables
     }
     if not system.satisfied_by(assignment):

@@ -15,9 +15,11 @@ from pbprop import (
     random_instance,
     serialize_instance,
 )
+from pbprop import axioms, linsolve  # modules whose caps the tests lower
 from pbprop.cli import main
 from pbprop.fixtures import FIXTURES, get_fixture
 from pbprop.io import FormatError, load_instance
+from pbprop.laminar import generate_laminar
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -189,6 +191,70 @@ def test_cli_check_satisfied(tmp_path, capsys):
     assert rc == 0
     assert "Satisfied" in out
     assert "price system: initial budget" in out
+
+
+def _report_tail(capsys):
+    return capsys.readouterr().out.splitlines()[1:]
+
+
+def test_cli_priceable_certificate_lines_are_pinned(capsys):
+    """The LP returns one particular vertex; these certificates pin it."""
+    split_ten = str(INSTANCES / "split_ten.json")
+    assert main(["check", "priceable", split_ten, "--bundle", "c1,c6"]) == 0
+    assert _report_tail(capsys) == [
+        f"check priceable on {split_ten} bundle {{c1,c6}}",
+        "Satisfied",
+        "  price system: initial budget b = 8",
+        "    v2 pays c1:2 c6:1/3",
+        "    v3 pays c6:2/3",
+    ]
+    tall_stack = str(INSTANCES / "tall_stack.json")
+    bundle = "t1,t2,t3,t4,t5,t6,t7,t8,x1,x2,x3"
+    assert main(["check", "priceable", tall_stack, "--bundle", bundle,
+                 "--b-min", "1"]) == 0
+    assert _report_tail(capsys) == [
+        f"check priceable on {tall_stack} bundle {{{bundle}}}",
+        "Satisfied",
+        "  price system: initial budget b = 14/3",
+        "    v1 pays t8:1/3",
+        "    v2 pays t4:1/6 t5:1/3 t6:1/3 t7:1/3",
+        "    v3 pays t1:1/3 t2:1/3 t3:1/3 t4:1/6",
+        "    v4 pays x1:1/3 x2:1/3 x3:1/3",
+    ]
+
+
+def test_cli_lp_cap_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(linsolve, "MAX_VARIABLES", 2)
+    two_camps = str(INSTANCES / "two_camps.json")
+    assert main(["check", "priceable", two_camps, "--bundle", "c1,c2,c3"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: 4 variables exceeds cap 2\n"
+
+
+def test_cli_enumeration_cap_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(axioms, "ENUM_MAX_BITS", 2)
+    two_camps = str(INSTANCES / "two_camps.json")
+    assert main(["check", "ejr", two_camps, "--bundle", "c1,c2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert "exceeds subset-search cap 2" in err
+
+
+def test_cli_rule_on_non_approval_instance_exits_2(capsys):
+    quartet = str(INSTANCES / "cardinal_quartet.json")
+    for rule in ("pav", "phragmen"):
+        assert main(["run", rule, quartet]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "approval instances" in err
+
+
+def test_cli_laminar_cap_is_not_a_verdict(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(serialize_instance(generate_laminar(3, max_depth=4)), "utf-8")
+    assert main(["laminar", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: instance exceeds laminar-search caps\n"
 
 
 def test_cli_laminar(tmp_path, capsys):

@@ -20,6 +20,7 @@ from pbprop import (
 )
 from pbprop.fixtures import get_fixture, tall_stack_bundle
 from pbprop.laminar import Split, UnanimousLeaf, UnanimousProject, unanimous_pool
+from pbprop.model import EnumerationCapError
 
 
 def test_recognize_split_ten():
@@ -62,6 +63,23 @@ def test_recognize_rejects_non_laminar():
         laminar_price_system(inst, {"q"})
     with pytest.raises(NotLaminarError):
         check_core_u_afford(inst, {"q"})
+
+
+def test_laminar_cap_is_not_a_verdict():
+    # Laminar by construction, but 27 voters and 25 projects: over the cap.
+    # The cap error is not a ValueError, so `search` cannot skip it as an
+    # unmet precondition.
+    inst = generate_laminar(3, max_depth=4)
+    assert (len(inst.voters), len(inst.projects)) == (27, 25)
+    for call in (
+        recognize_laminar,
+        lambda i: list(laminar_bundles(i)),
+        lambda i: is_laminar_proportional(i, frozenset()),
+        lambda i: check_core_u_afford(i, frozenset()),
+    ):
+        with pytest.raises(EnumerationCapError, match="laminar-search caps"):
+            call(inst)
+    assert not issubclass(EnumerationCapError, ValueError)
 
 
 def test_single_leaf_instance():

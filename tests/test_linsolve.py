@@ -105,19 +105,46 @@ def _as_fm_rows(sys_):
     return rows
 
 
+def _integer_rows(rng, variables):
+    rows = []
+    for _ in range(rng.randint(1, 5)):
+        coeffs = {v: Fraction(rng.randint(-3, 3)) for v in variables}
+        rows.append((coeffs, rng.choice([LEQ, EQ, GEQ]), Fraction(rng.randint(-4, 4))))
+    return rows
+
+
+def _mixed_rows(rng, variables):
+    """Coefficients over mixed denominators, negative right-hand sides and
+    EQ/GEQ mixes, up to 6 rows, sometimes with an all-zero row."""
+
+    def value():
+        return Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 4, 5, 6, 7]))
+
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        coeffs = {v: value() for v in variables if rng.random() < 0.8}
+        rows.append((coeffs, rng.choice([EQ, GEQ, GEQ, LEQ]), value()))
+    if rng.random() < 0.25:
+        zero = {v: Fraction(0) for v in variables}
+        rows[rng.randrange(len(rows))] = (zero, rng.choice([LEQ, EQ, GEQ]), value())
+    return rows
+
+
 def test_cross_check_against_fourier_motzkin():
-    rng = random.Random(20240817)
-    relations = [LEQ, EQ, GEQ]
-    for trial in range(250):
-        variables = [f"x{i}" for i in range(rng.randint(1, 3))]
-        nonneg = {v for v in variables if rng.random() < 0.5}
-        rows = []
-        for _ in range(rng.randint(1, 5)):
-            coeffs = {v: Fraction(rng.randint(-3, 3)) for v in variables}
-            rows.append((coeffs, rng.choice(relations), Fraction(rng.randint(-4, 4))))
-        sys_ = system(variables, rows, nonneg=nonneg)
-        got = lp_feasible(sys_)
-        want = fm_feasible(variables, _as_fm_rows(sys_))
-        assert got.feasible == want, f"trial {trial}"
-        if got.feasible:
-            assert sys_.satisfied_by(got.assignment)
+    for seed, trials, max_vars, draw_rows in [
+        (20240817, 250, 3, _integer_rows),
+        (20261018, 300, 4, _mixed_rows),
+    ]:
+        rng = random.Random(seed)
+        verdicts = set()
+        for trial in range(trials):
+            variables = [f"x{i}" for i in range(rng.randint(1, max_vars))]
+            nonneg = {v for v in variables if rng.random() < 0.5}
+            sys_ = system(variables, draw_rows(rng, variables), nonneg=nonneg)
+            got = lp_feasible(sys_)
+            want = fm_feasible(variables, _as_fm_rows(sys_))
+            assert got.feasible == want, f"{draw_rows.__name__} trial {trial}"
+            if got.feasible:
+                assert sys_.satisfied_by(got.assignment)
+            verdicts.add(want)
+        assert verdicts == {True, False}
