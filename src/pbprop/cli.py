@@ -80,38 +80,43 @@ def _print_certificate(cert, out):
             out.write(f"    {v} pays {_fmt_payments(row)}\n")
 
 
-def _cmd_run(args, out):
-    instance = load_instance(args.file)
-    if args.threshold is not None:
-        instance = binarize(instance, as_fraction(args.threshold))
-    out.write(REPORT_HEADER + "\n")
-    out.write(f"rule {args.rule} on {args.file}\n")
+def _rule_lines(args, instance):
+    """The report lines of one rule run, after the header."""
     if args.rule == "phragmen":
         winners, trace = phragmen(instance, collect_ties=args.all_ties)
-        out.write(f"bundle {_fmt_set(winners)}\n")
+        lines = [f"bundle {_fmt_set(winners)}"]
         for e in trace.events:
             line = f"  t={e.time} buy {e.project} payments {_fmt_payments(e.payments)}"
             if e.tied_with:
                 line += f" tied-with {','.join(e.tied_with)}"
-            out.write(line + "\n")
-        out.write(f"  stop at t={trace.stop_time} ({trace.stop_reason})\n")
+            lines.append(line)
+        lines.append(f"  stop at t={trace.stop_time} ({trace.stop_reason})")
     elif args.rule == "pav":
         if args.all_ties:
             winners, score, ties = pav(instance, collect_ties=True)
-            out.write(f"bundle {_fmt_set(winners)}\nscore {score}\n")
-            for t in ties:
-                out.write(f"  maximizer {_fmt_set(t)}\n")
         else:
-            winners, score = pav(instance)
-            out.write(f"bundle {_fmt_set(winners)}\nscore {score}\n")
+            (winners, score), ties = pav(instance), []
+        lines = [f"bundle {_fmt_set(winners)}", f"score {score}"]
+        lines += [f"  maximizer {_fmt_set(t)}" for t in ties]
     else:
         winners, trace = rule_x(instance, collect_ties=args.all_ties)
-        out.write(f"bundle {_fmt_set(winners)}\n")
+        lines = [f"bundle {_fmt_set(winners)}"]
         for r in trace.rounds:
             line = f"  rho={r.rho} buy {r.project} payments {_fmt_payments(r.payments)}"
             if r.tied_with:
                 line += f" tied-with {','.join(r.tied_with)}"
-            out.write(line + "\n")
+            lines.append(line)
+    return lines
+
+
+def _cmd_run(args, out):
+    instance = load_instance(args.file)
+    if args.threshold is not None:
+        instance = binarize(instance, as_fraction(args.threshold))
+    lines = _rule_lines(args, instance)
+    out.write(REPORT_HEADER + "\n")
+    out.write(f"rule {args.rule} on {args.file}\n")
+    out.write("".join(line + "\n" for line in lines))
     return 0
 
 

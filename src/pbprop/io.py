@@ -13,6 +13,9 @@ from fractions import Fraction
 from .model import PBInstance, as_fraction, validate
 
 
+ONE = Fraction(1)  # shared by every approval in a .pb ballot
+
+
 class FormatError(Exception):
     """Input file does not match the expected schema."""
 
@@ -187,7 +190,7 @@ def parse_pabulib(text: str) -> PBInstance:
         for pid in approvals[vid]:
             if pid not in cost:
                 raise FormatError(f"voter {vid} approves unknown project {pid!r}")
-            row[pid] = Fraction(1)
+            row[pid] = ONE
         utilities[vid] = row
     instance = PBInstance.build(
         order, list(cost), cost, utilities, budget, meta.get("description", "")

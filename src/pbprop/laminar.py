@@ -150,25 +150,26 @@ def _fills_leaf(instance, s, w):
     return room >= 0 and not any(instance.cost[c] <= room for c in s[1] - w)
 
 
-def _certifier(instance, cases):
-    """Memoized certifying(slice, w): the first case of the slice that
-    certifies w, or None.  A leaf must be filled by w, a stacked project
-    must be in w, and each child slice must certify its part of w."""
-    memo = {}
-
-    def certifies(s, case, w):
-        c, children = case
-        if not children:
-            return _fills_leaf(instance, s, w)
-        return (c is None or c in w) and all(certifying(t, w & t[1]) for t in children)
-
-    def certifying(s, w):
-        if (s, w) not in memo:
-            fits = (case for case in cases(s) if w <= s[1] and certifies(s, case, w))
-            memo[s, w] = next(fits, None)
-        return memo[s, w]
-
-    return certifying
+def _certifying(instance, cases, memo, s, w):
+    """The first case of slice s that certifies w, or None, memoized in
+    memo.  A leaf must be filled by w, a stacked project must be in w, and
+    each child slice must certify its part of w.  A module-level function,
+    so that recursing builds no reference cycle."""
+    if (s, w) not in memo:
+        found = None
+        for case in cases(s) if w <= s[1] else ():
+            c, children = case
+            if not children:
+                fits = _fills_leaf(instance, s, w)
+            else:
+                fits = (c is None or c in w) and all(
+                    _certifying(instance, cases, memo, t, w & t[1]) for t in children
+                )
+            if fits:
+                found = case
+                break
+        memo[s, w] = found
+    return memo[s, w]
 
 
 def _laminar_root(instance):
@@ -205,7 +206,10 @@ def recognize_laminar(instance: PBInstance):
             memo[s] = next((t for t in trees if t is not None), None)
         return memo[s]
 
-    return None if root is None else rec(root)
+    try:
+        return None if root is None else rec(root)
+    finally:
+        del rec, tree  # the closures hold each other through their cells
 
 
 def is_laminar_proportional(instance: PBInstance, bundle) -> AxiomVerdict:
@@ -219,7 +223,7 @@ def is_laminar_proportional(instance: PBInstance, bundle) -> AxiomVerdict:
     underspend one wing lose priceability and core guarantees."""
     bundle = check_bundle(instance, bundle)
     root, cases = _slice_cases(instance)
-    if root is not None and _certifier(instance, cases)(root, bundle):
+    if root is not None and _certifying(instance, cases, {}, root, bundle):
         return AxiomVerdict(SATISFIED)
     _laminar_root(instance)
     return AxiomVerdict(VIOLATED, witness="no decomposition certifies the bundle")
@@ -245,7 +249,10 @@ def laminar_bundles(instance: PBInstance):
             memo[s] = out
         return memo[s]
 
-    bundles = set() if root is None else enum(root)
+    try:
+        bundles = set() if root is None else enum(root)
+    finally:
+        del enum  # the closure holds itself through its cell
     if not bundles:
         _laminar_root(instance)
     yield from sorted(bundles, key=lambda w: tuple(sorted(w)))
@@ -259,11 +266,11 @@ def laminar_price_system(instance: PBInstance, bundle):
     its wings."""
     bundle = check_bundle(instance, bundle)
     root, cases = _slice_cases(instance)
-    certifying = _certifier(instance, cases)
+    memo = {}
 
     def build(s, w):
         voters = s[0]
-        c, children = certifying(s, w)
+        c, children = _certifying(instance, cases, memo, s, w)
         if not children:
             return {v: {d: instance.cost[d] / len(voters) for d in w} for v in voters}
         payments = {}
@@ -274,10 +281,13 @@ def laminar_price_system(instance: PBInstance, bundle):
                 payments.setdefault(v, {})[c] = instance.cost[c] / len(voters)
         return payments
 
-    if root is None or not certifying(root, bundle):
-        _laminar_root(instance)
-        raise NotLaminarError("bundle is not laminar proportional")
-    payments = build(root, bundle)
+    try:
+        if root is None or not _certifying(instance, cases, memo, root, bundle):
+            _laminar_root(instance)
+            raise NotLaminarError("bundle is not laminar proportional")
+        payments = build(root, bundle)
+    finally:
+        del build  # the closure holds itself through its cell
     for v in instance.voters:
         payments.setdefault(v, {})
     return PriceSystem(instance.cost_of(bundle), payments)

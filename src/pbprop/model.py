@@ -13,6 +13,9 @@ from fractions import Fraction
 from typing import Iterable
 
 
+ZERO = Fraction(0)  # shared by every omitted utility entry
+
+
 class EnumerationCapError(Exception):
     """An exhaustive search would exceed its configured size cap."""
 
@@ -43,7 +46,8 @@ class PBInstance:
     def build(voters, projects, cost, utilities, budget, description=""):
         """Normalise raw input (strings, ints) into canonical form.
 
-        Omitted utility entries default to 0; ids are sorted canonically.
+        Omitted utility entries default to 0 (one shared Fraction); ids are
+        sorted canonically.
         """
         voters = tuple(sorted(voters))
         projects = tuple(sorted(projects))
@@ -51,7 +55,7 @@ class PBInstance:
         norm = {}
         for v in voters:
             row = utilities.get(v, {})
-            norm[v] = {c: as_fraction(row.get(c, 0)) for c in projects}
+            norm[v] = {c: as_fraction(row[c]) if c in row else ZERO for c in projects}
         return PBInstance(voters, projects, cost, norm, as_fraction(budget), description)
 
     def utility(self, voter, project) -> Fraction:
@@ -134,7 +138,11 @@ def validate(instance: PBInstance) -> ValidationReport:
         for c, u in row.items():
             if c not in instance.cost:
                 report.add(f"utility for unknown project {c} (voter {v})")
-            if not 0 <= u <= 1:
+            if isinstance(u, Fraction):
+                in_range = 0 <= u.numerator <= u.denominator
+            else:
+                in_range = 0 <= u <= 1
+            if not in_range:
                 report.add(f"utility out of [0,1]: u_{v}({c}) = {u}")
     return report
 

@@ -321,6 +321,74 @@ def oracle_axiom(instance: PBInstance, bundle, axiom: str, **opts) -> AxiomVerdi
     raise ValueError(f"no oracle for axiom {axiom!r}")
 
 
+def _oracle_rho(instance, remaining, project):
+    """Minimal rho >= 0 at which the supporters of ``project`` pay its cost
+    with voter v paying min(remaining[v], u_v * rho); None if no rho does.
+
+    Tries every set C of capped supporters: for C short of all supporters,
+    rho solves cost = remaining(C) + rho * u(rest); for C equal to all of
+    them, the money must match the cost and rho is the last cap.  A
+    candidate counts when the voters in C are capped at rho and the rest
+    are not."""
+    cost = instance.cost[project]
+    utility = {v: instance.utilities[v][project] for v in instance.voters}
+    supporters = [v for v in instance.voters if utility[v] > 0]
+    best = None
+    for capped in _subsets(supporters):
+        free = [v for v in supporters if v not in capped]
+        money = sum((remaining[v] for v in capped), Fraction(0))
+        if free:
+            rho = (cost - money) / sum((utility[v] for v in free), Fraction(0))
+        elif capped and money == cost:
+            rho = max(remaining[v] / utility[v] for v in capped)
+        else:
+            continue
+        if rho < 0:
+            continue
+        if all(utility[v] * rho >= remaining[v] for v in capped) and all(
+            utility[v] * rho <= remaining[v] for v in free
+        ):
+            best = rho if best is None else min(best, rho)
+    return best
+
+
+def oracle_rule_x(instance: PBInstance):
+    """Rule X (equal shares) from its definition, with no breakpoint walk:
+    every voter starts with budget / n; each round buys the project with
+    the smallest rho from ``_oracle_rho`` (ties to the smaller id), and
+    each supporter pays min(remaining money, u * rho).
+
+    Returns (bundle, rounds), each round (rho, project, payments, tied):
+    payments lists the voters who pay a positive amount, in voter order,
+    and tied the other projects affordable at the same rho."""
+    _check_caps(instance)
+    share = instance.budget / len(instance.voters)
+    remaining = {v: share for v in instance.voters}
+    selected = []
+    rounds = []
+    while True:
+        offers = []
+        for c in instance.projects:
+            if c not in selected:
+                rho = _oracle_rho(instance, remaining, c)
+                if rho is not None:
+                    offers.append((rho, c))
+        if not offers:
+            break
+        offers.sort()
+        rho, c = offers[0]
+        tied = tuple(d for r, d in offers[1:] if r == rho)
+        payments = {}
+        for v in instance.voters:
+            pay = min(remaining[v], instance.utilities[v][c] * rho)
+            if pay > 0:
+                payments[v] = pay
+                remaining[v] -= pay
+        rounds.append((rho, c, payments, tied))
+        selected.append(c)
+    return frozenset(selected), rounds
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Replayable random-instance parameters."""

@@ -4,6 +4,11 @@ All rules are resolute here: ties (equal purchase times, equal price-per-
 utility, equal scores) are broken by the canonical lexicographic order on
 project ids / member sets.  Traces optionally record the tied alternatives
 at each step for diagnostics.
+
+The rules run once per ballot type, not once per voter: voters whose
+nonzero utility rows are identical pay the same in every round of every
+rule (by induction on the rounds), so a type's sums are its size times
+one voter's.  Traces still list every voter's payment, in voter order.
 """
 
 from __future__ import annotations
@@ -25,8 +30,37 @@ class NotApprovalError(Exception):
     """Rule requires an approval instance (all utilities 0/1)."""
 
 
-def _require_approval(instance):
-    if not instance.is_approval:
+def _ballot_types(instance):
+    """Group voters whose nonzero utility rows are identical.
+
+    Returns (rows, sizes, type_of): rows[k] maps the projects of ballot
+    type k to their nonzero utilities, sizes[k] counts its voters, and
+    type_of maps every voter, in voter order, to the index of its type.
+    """
+    index = {}
+    type_of = {}
+    for v in instance.voters:
+        key = tuple((c, u) for c, u in instance.utilities[v].items() if u)
+        type_of[v] = index.setdefault(key, len(index))
+    sizes = [0] * len(index)
+    for k in type_of.values():
+        sizes[k] += 1
+    return [dict(key) for key in index], sizes, type_of
+
+
+def _per_voter(type_of, amounts):
+    """Spread per-type amounts {type: amount} over the types' voters, in
+    voter order."""
+    return {v: amounts[k] for v, k in type_of.items() if k in amounts}
+
+
+def _supporters(instance, rows):
+    """Project -> indices of the ballot types with a nonzero utility for it."""
+    return {c: [k for k, row in enumerate(rows) if c in row] for c in instance.projects}
+
+
+def _require_approval(rows):
+    if any(u != 1 for row in rows for u in row.values()):
         raise NotApprovalError(
             "this rule is only defined on approval instances; binarize first"
         )
@@ -53,13 +87,16 @@ def phragmen(instance: PBInstance, collect_ties=False):
     Balances grow at rate one per voter; the project whose supporters first
     hold its full cost is bought (supporters reset to zero).  The run stops
     entirely at the first selection that would exceed the overall budget.
+    Each ballot type's last reset is kept as an index into the list of
+    reset times (zero, then each purchase time), so that a project's
+    supporters sum their resets as a count of voters per reset time.
     """
-    _require_approval(instance)
-    last_reset = {v: Fraction(0) for v in instance.voters}
-    supporters = {
-        c: [v for v in instance.voters if instance.utilities[v][c] == 1]
-        for c in instance.projects
-    }
+    rows, sizes, type_of = _ballot_types(instance)
+    _require_approval(rows)
+    reset_times = [Fraction(0)]
+    last_reset = [0] * len(rows)  # index into reset_times, per type
+    supporters = _supporters(instance, rows)
+    counts = {c: sum(sizes[k] for k in sup) for c, sup in supporters.items()}
     selected = []
     spent = Fraction(0)
     trace = PhragmenTrace()
@@ -71,8 +108,11 @@ def phragmen(instance: PBInstance, collect_ties=False):
             sup = supporters[c]
             if not sup:
                 continue
-            t = (instance.cost[c] + sum(last_reset[v] for v in sup)) / len(sup)
-            times.append((t, c))
+            voters_at = [0] * len(reset_times)
+            for k in sup:
+                voters_at[last_reset[k]] += sizes[k]
+            resets = sum(n * r for n, r in zip(voters_at, reset_times) if n)
+            times.append(((instance.cost[c] + resets) / counts[c], c))
         if not times:
             trace.stop_time = now
             trace.stop_reason = STOP_NO_PROJECT
@@ -83,12 +123,14 @@ def phragmen(instance: PBInstance, collect_ties=False):
             trace.stop_time = t
             trace.stop_reason = STOP_BUDGET
             break
-        payments = {v: t - last_reset[v] for v in supporters[c]}
+        due = [t - r for r in reset_times]
+        payments = _per_voter(type_of, {k: due[last_reset[k]] for k in supporters[c]})
         trace.events.append(
             PhragmenEvent(t, c, payments, tied if collect_ties else ())
         )
-        for v in supporters[c]:
-            last_reset[v] = t
+        reset_times.append(t)
+        for k in supporters[c]:
+            last_reset[k] = len(reset_times) - 1
         selected.append(c)
         remaining.remove(c)
         spent += instance.cost[c]
@@ -101,7 +143,7 @@ def harmonic(j: int) -> Fraction:
 
 
 def pav_score(instance: PBInstance, bundle) -> Fraction:
-    _require_approval(instance)
+    _require_approval(_ballot_types(instance)[0])
     bundle = check_bundle(instance, bundle)
     score = Fraction(0)
     for v in instance.voters:
@@ -116,7 +158,7 @@ def pav(instance: PBInstance, collect_ties=False):
     Among score maximizers, the lexicographically smallest sorted member
     tuple wins.  Guarded by a hard project-count cap.
     """
-    _require_approval(instance)
+    _require_approval(_ballot_types(instance)[0])
     if len(instance.projects) > PAV_MAX_PROJECTS:
         raise EnumerationCapError(
             f"{len(instance.projects)} projects exceeds PAV cap {PAV_MAX_PROJECTS}"
@@ -144,12 +186,11 @@ def min_rho(instance: PBInstance, paid_so_far, project):
     or None when no rho makes the project affordable.
 
     ``paid_so_far`` maps voters to what they already spent out of their
-    equal share budget/n.  Solved exactly by walking the sorted breakpoints
-    (share - paid_i) / u_i(c) of the piecewise-linear payment function.
+    equal share budget/n.  Solved exactly by the breakpoint walk of
+    ``_walk_rho``, with every voter weighted one.
     """
     share = instance.budget / len(instance.voters)
-    cost = instance.cost[project]
-    contributors = []  # (breakpoint, remaining, utility)
+    contributors = []  # (remaining, utility, weight)
     for v in instance.voters:
         u = instance.utilities[v][project]
         if u == 0:
@@ -157,19 +198,35 @@ def min_rho(instance: PBInstance, paid_so_far, project):
         rem = share - paid_so_far.get(v, Fraction(0))
         if rem < 0:
             raise ValueError(f"voter {v} overspent its share")
-        contributors.append((rem / u, rem, u))
-    if sum((rem for _, rem, _ in contributors), Fraction(0)) < cost:
+        contributors.append((rem, u, 1))
+    return _walk_rho(project, instance.cost[project], contributors)
+
+
+def _walk_rho(project, cost, contributors):
+    """Minimal rho >= 0 with sum_k w_k * min(rem_k, u_k * rho) = cost, or
+    None when the contributors' remaining money falls short of the cost.
+
+    ``contributors`` holds (rem, u, w): w voters, each with remaining money
+    rem >= 0 and utility u > 0; entries with equal (rem, u) are merged
+    first.  Walks the sorted breakpoints rem / u of the piecewise-linear
+    payment total; at a breakpoint the total is the same before and after
+    the voters there are capped, so voters alike may be capped together.
+    """
+    alike = {}
+    for rem, u, w in contributors:
+        alike[rem, u] = alike.get((rem, u), 0) + w
+    if sum((w * rem for (rem, _), w in alike.items()), Fraction(0)) < cost:
         return None
-    contributors.sort()
+    breakpoints = sorted((rem / u, rem, u, w) for (rem, u), w in alike.items())
     capped = Fraction(0)  # paid by voters already at their cap
-    slope = sum((u for _, _, u in contributors), Fraction(0))
+    slope = sum((w * u for (_, u), w in alike.items()), Fraction(0))
     prev = Fraction(0)
-    for bp, rem, u in contributors:
+    for bp, rem, u, w in breakpoints:
         # On [prev, bp) the payment total is capped + slope * rho.
         if capped + slope * bp >= cost:
             return (cost - capped) / slope
-        capped += rem
-        slope -= u
+        capped += w * rem
+        slope -= w * u
         prev = bp
     # Total equals cost exactly at the last breakpoint.
     if capped != cost:
@@ -193,32 +250,34 @@ class RuleXTrace:
 def rule_x(instance: PBInstance, collect_ties=False):
     """Equal-shares purchase: repeatedly buy the project affordable at the
     smallest price-per-utility rho, charging min(remaining share, u * rho).
+    What each voter has spent is kept per ballot type.
     """
     n = len(instance.voters)
     share = instance.budget / n
-    paid = {v: Fraction(0) for v in instance.voters}
+    rows, sizes, type_of = _ballot_types(instance)
+    paid = [Fraction(0)] * len(rows)
+    supporters = _supporters(instance, rows)
     selected = []
     remaining = list(instance.projects)
     trace = RuleXTrace()
     while remaining:
         candidates = []
         for c in remaining:
-            rho = min_rho(instance, paid, c)
+            contributors = [(share - paid[k], rows[k][c], sizes[k]) for k in supporters[c]]
+            rho = _walk_rho(c, instance.cost[c], contributors)
             if rho is not None:
                 candidates.append((rho, c))
         if not candidates:
             break
         rho, c = min(candidates)
         tied = tuple(cc for rr, cc in sorted(candidates) if rr == rho and cc != c)
-        payments = {}
-        for v in instance.voters:
-            u = instance.utilities[v][c]
-            if u == 0:
-                continue
-            p = min(share - paid[v], u * rho)
+        charged = {}
+        for k in supporters[c]:
+            p = min(share - paid[k], rows[k][c] * rho)
             if p > 0:
-                payments[v] = p
-                paid[v] += p
+                charged[k] = p
+                paid[k] += p
+        payments = _per_voter(type_of, charged)
         if sum(payments.values(), Fraction(0)) != instance.cost[c]:
             raise CertificateError(f"rule X payments for {c} do not sum to its cost")
         trace.rounds.append(

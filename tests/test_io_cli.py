@@ -15,6 +15,7 @@ from pbprop import (
     random_instance,
     serialize_instance,
 )
+import pbprop
 from pbprop import axioms, linsolve  # modules whose caps the tests lower
 from pbprop.cli import main
 from pbprop.fixtures import FIXTURES, get_fixture
@@ -246,6 +247,29 @@ def test_cli_rule_on_non_approval_instance_exits_2(capsys):
         assert main(["run", rule, quartet]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "approval instances" in err
+
+
+def test_cli_run_error_leaves_stdout_empty(capsys):
+    assert main(["run", "pav", str(INSTANCES / "cardinal_quartet.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_python_m_pbprop_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(pbprop.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-m", "pbprop", "paper-verify"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "8/8 fixtures pass" in done.stdout
 
 
 def test_cli_laminar_cap_is_not_a_verdict(tmp_path, capsys):

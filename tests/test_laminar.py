@@ -226,3 +226,28 @@ def test_generator_rejects_bad_parameters():
         generate_laminar(0, max_leaf_voters=0)
     with pytest.raises(ValueError):
         generate_laminar_mwv(0, max_depth=-1)
+
+
+def test_public_calls_leave_no_cyclic_garbage():
+    import gc
+
+    inst = generate_laminar(3, max_depth=2)
+    bundles = list(laminar_bundles(inst))
+    gc.collect()
+    gc.disable()
+    try:
+        recognize_laminar(inst)
+        assert gc.collect() == 0
+        list(laminar_bundles(inst))
+        assert gc.collect() == 0
+        for bundle in bundles:
+            is_laminar_proportional(inst, bundle)
+            assert gc.collect() == 0
+            laminar_price_system(inst, bundle)
+            assert gc.collect() == 0
+            check_core_u_afford(inst, bundle)
+            assert gc.collect() == 0
+        with pytest.raises(NotLaminarError):
+            laminar_price_system(inst, frozenset())
+    finally:
+        gc.enable()

@@ -18,8 +18,10 @@ from pbprop import (
     rule_x,
 )
 from pbprop.fixtures import get_fixture
+from pbprop.oracle import oracle_rule_x
 from pbprop.rules import (
     STOP_BUDGET,
+    STOP_NO_PROJECT,
     EnumerationCapError,
     NotApprovalError,
     min_rho,
@@ -170,3 +172,87 @@ def test_phragmen_within_budget_on_random_instances():
         assert inst.cost_of(winners) <= inst.budget
         times = [e.time for e in trace.events]
         assert times == sorted(times)
+
+
+def repeated_ballots_instance(rng, approval):
+    """A small instance in which voters often copy an earlier voter's row,
+    sometimes with one utility changed."""
+    from pbprop import PBInstance
+
+    projects = [f"c{j}" for j in range(rng.randint(1, 5))]
+    levels = [Fraction(0), Fraction(1)] if approval else [Fraction(k, 4) for k in range(5)]
+    rows = []
+    for _ in range(rng.randint(1, 8)):
+        if rows and rng.random() < 0.6:
+            row = dict(rng.choice(rows))
+            if rng.random() < 0.3:
+                c = rng.choice(projects)
+                row[c] = rng.choice([u for u in levels if u != row[c]])
+        else:
+            row = {c: rng.choice(levels) for c in projects}
+        rows.append(row)
+    return PBInstance.build(
+        voters=[f"v{i}" for i in range(len(rows))],
+        projects=projects,
+        cost={c: Fraction(rng.randint(1, 8), rng.randint(1, 4)) for c in projects},
+        utilities={f"v{i}": row for i, row in enumerate(rows)},
+        budget=Fraction(rng.randint(1, 12), rng.randint(1, 3)),
+    )
+
+
+def test_rule_x_matches_capped_set_oracle():
+    rng = random.Random(17)
+    for trial in range(300):
+        inst = repeated_ballots_instance(rng, approval=trial % 2 == 0)
+        winners, trace = rule_x(inst, collect_ties=True)
+        bundle, rounds = oracle_rule_x(inst)
+        assert winners == bundle
+        got = [(r.rho, r.project, r.payments, r.tied_with) for r in trace.rounds]
+        assert got == rounds
+        for (_, _, payments, _), r in zip(rounds, trace.rounds):
+            assert list(r.payments) == list(payments)
+
+
+def literal_phragmen(inst):
+    """Phragmen voter by voter: every voter earns one unit of money per
+    unit of time; at each step the project whose approvers first hold its
+    cost together is bought at that moment and their balances drop to 0."""
+    reset = {v: Fraction(0) for v in inst.voters}
+    bought, events, spent, now = [], [], Fraction(0), Fraction(0)
+    while True:
+        offers = []
+        for c in inst.projects:
+            approvers = [v for v in inst.voters if inst.utilities[v][c] == 1]
+            if c in bought or not approvers:
+                continue
+            # sum over approvers of (t - reset[v]) = cost(c), solved for t
+            t = (inst.cost[c] + sum(reset[v] for v in approvers)) / len(approvers)
+            assert sum(t - reset[v] for v in approvers) == inst.cost[c]
+            offers.append((t, c, approvers))
+        if not offers:
+            return bought, events, now, STOP_NO_PROJECT
+        offers.sort(key=lambda offer: offer[:2])
+        t, c, approvers = offers[0]
+        if spent + inst.cost[c] > inst.budget:
+            return bought, events, t, STOP_BUDGET
+        tied = tuple(d for s, d, _ in offers[1:] if s == t)
+        events.append((t, c, {v: t - reset[v] for v in approvers}, tied))
+        for v in approvers:
+            reset[v] = t
+        bought.append(c)
+        spent += inst.cost[c]
+        now = t
+
+
+def test_phragmen_matches_per_voter_simulation():
+    rng = random.Random(19)
+    for _ in range(300):
+        inst = repeated_ballots_instance(rng, approval=True)
+        winners, trace = phragmen(inst, collect_ties=True)
+        bought, events, stop_time, stop_reason = literal_phragmen(inst)
+        assert winners == frozenset(bought)
+        got = [(e.time, e.project, e.payments, e.tied_with) for e in trace.events]
+        assert got == events
+        for (_, _, payments, _), e in zip(events, trace.events):
+            assert list(e.payments) == list(payments)
+        assert (trace.stop_time, trace.stop_reason) == (stop_time, stop_reason)
