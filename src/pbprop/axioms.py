@@ -31,26 +31,16 @@ SATISFIED = "satisfied"
 VIOLATED = "violated"
 
 
-def _check_caps(instance, voters=True, projects=True):
-    if voters and len(instance.voters) > ENUM_MAX_BITS:
-        raise EnumerationCapError(
-            f"{len(instance.voters)} voters exceeds subset-search cap {ENUM_MAX_BITS}"
-        )
-    if projects and len(instance.projects) > ENUM_MAX_BITS:
-        raise EnumerationCapError(
-            f"{len(instance.projects)} projects exceeds subset-search cap {ENUM_MAX_BITS}"
-        )
+def _check_caps(instance):
+    for kind, ids in (("voters", instance.voters), ("projects", instance.projects)):
+        if len(ids) > ENUM_MAX_BITS:
+            raise EnumerationCapError(
+                f"{len(ids)} {kind} exceeds subset-search cap {ENUM_MAX_BITS}"
+            )
 
 
 def _mask_members(mask, ids):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(ids[i])
-        mask >>= 1
-        i += 1
-    return out
+    return [x for k, x in enumerate(ids) if mask >> k & 1]
 
 
 @dataclass(frozen=True)
@@ -128,15 +118,34 @@ def validate_core_witness(instance, bundle, witness) -> bool:
     )
 
 
-def _cost_by_mask(instance):
-    m = len(instance.projects)
-    costs = [Fraction(0)] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        costs[mask] = costs[mask ^ low] + instance.cost[
-            instance.projects[low.bit_length() - 1]
-        ]
-    return costs
+def validate_committee_witness(instance, bundle, witness, axiom) -> bool:
+    """Check a committee PJR ("mwvpjr") or budget-limit PJR ("bpjr")
+    witness against the definition, in Fractions: the nonempty group S is
+    owed the level ell and its union-approved selection falls short of it.
+    Owed means ell <= |S| k / n seats with ell common approvals (mwvpjr,
+    ell a whole number), or 0 < ell <= |S| l / n with common approvals
+    costing at least ell (bpjr)."""
+    group, level = witness.group, witness.level
+    n = len(instance.voters)
+    if not group or not group <= set(instance.voters):
+        return False
+    approvals = [instance.approval_set(v) for v in group]
+    common = frozenset.intersection(*approvals)
+    selected = frozenset.union(*approvals) & frozenset(bundle)
+    if axiom == "mwvpjr":
+        k = instance.committee_size()
+        return (
+            Fraction(level).denominator == 1
+            and len(group) * k >= level * n
+            and len(common) >= level > len(selected)
+        )
+    if axiom == "bpjr":
+        return (
+            0 < level
+            and len(group) * instance.budget >= level * n
+            and instance.cost_of(common) >= level > instance.cost_of(selected)
+        )
+    raise ValueError(f"no committee witness for axiom {axiom!r}")
 
 
 def _scaled(values):
@@ -197,123 +206,146 @@ def check_core(instance: PBInstance, bundle) -> AxiomVerdict:
     return AxiomVerdict(SATISFIED)
 
 
-def _cohesive_search(instance, bundle, violated_for_group):
-    """Shared (S, T) enumeration for EJR/PJR-style axioms.
+def _mask_costs(instance):
+    """Affordability in integers: (costs, share, unit) such that a group
+    S affords the project mask T iff costs[T] <= |S| * share, and cost(T)
+    is Fraction(costs[T], unit)."""
+    ints, den = _scaled([instance.cost[c] for c in instance.projects])
+    # |S| * budget >= cost(T) * n, both sides times den * budget.denominator.
+    scale = instance.budget.denominator * len(instance.voters)
+    costs = [0]
+    for mask in range(1, 1 << len(ints)):
+        low = mask & -mask
+        costs.append(costs[mask ^ low] + ints[low.bit_length() - 1] * scale)
+    return costs, instance.budget.numerator * den, den * scale
 
-    For each group S and target T affordable by S, the pointwise-maximal
-    feasible threshold function is alpha*(c) = min over S of u_i(c); any
-    feasible alpha that violates makes alpha* violate too, so only alpha*
-    is tested.  ``violated_for_group(members, sum_alpha)`` decides the
-    axiom-specific comparison.
-    """
-    n = len(instance.voters)
-    m = len(instance.projects)
-    costs = _cost_by_mask(instance)
-    for smask in range(1, 1 << n):
-        members = _mask_members(smask, instance.voters)
-        cap = len(members) * instance.budget / n
-        minu = [
-            min(instance.utilities[v][c] for v in members) for c in instance.projects
-        ]
-        test = violated_for_group(members)
-        for tmask in range(1, 1 << m):
-            if costs[tmask] > cap:
-                continue
-            sum_alpha = Fraction(0)
-            mask = tmask
-            while mask:
-                low = mask & -mask
-                sum_alpha += minu[low.bit_length() - 1]
-                mask ^= low
-            if test(sum_alpha):
-                target = frozenset(_mask_members(tmask, instance.projects))
-                alpha = {c: minu[instance.projects.index(c)] for c in target}
-                witness = CohesivenessWitness(frozenset(members), target, alpha)
-                if not validate_cohesiveness_witness(instance, witness):
-                    raise CertificateError(f"cohesiveness witness fails: {witness}")
-                return witness
+
+def _group_search(instance, found, extra=None):
+    """The one voter-group walk behind EJR, PJR, bpjr and mwvpjr: returns
+    (S, hit) for the first nonempty voter mask S, in increasing order,
+    with a non-None ``hit = found(|S|, low, high, inter, union)``, else
+    None.  ``low`` and ``high`` are the minimum and maximum over S of the
+    utility rows as integers over one denominator (``high`` also of the
+    per-voter columns ``extra(rows)``); ``inter`` and ``union`` combine the
+    members' positive-utility project masks, so ``inter`` is the support
+    of ``low``.  S's tables extend those of S minus its lowest bit, the
+    last mask of |S| - 1 members visited, so one table per size is kept."""
+    voters, projects, m = instance.voters, instance.projects, len(instance.projects)
+    flat, _ = _scaled([instance.utilities[v][c] for v in voters for c in projects])
+    rows = [flat[k * m : (k + 1) * m] for k in range(len(voters))]
+    tops = rows if extra is None else [r + x for r, x in zip(rows, extra(rows))]
+    supports = [sum(1 << c for c, a in enumerate(r) if a) for r in rows]
+    tables = [None] * (len(rows) + 1)
+    for smask in range(1, 1 << len(rows)):
+        i = (smask & -smask).bit_length() - 1
+        size = smask.bit_count()
+        # A lone member starts from its own rows; -1 masks every project.
+        low, high, inter, union = tables[size - 1] or (rows[i], tops[i], -1, 0)
+        table = tables[size] = (
+            list(map(min, low, rows[i])),
+            list(map(max, high, tops[i])),
+            inter & supports[i],
+            union | supports[i],
+        )
+        hit = found(size, *table)
+        if hit is not None:
+            return smask, hit
     return None
 
 
-def check_ejr(instance: PBInstance, bundle, up_to_one=False) -> AxiomVerdict:
+def _cohesive_verdict(instance, bundle, ejr, up_to_one):
+    """EJR (``ejr``) or PJR, plain or up to one project.
+
+    Only alpha*(c) = min over S of u_i(c) is tested: it is the pointwise-
+    maximal feasible threshold function, so any violating alpha makes it
+    violate too.  In integers over the utility denominator, S and a target
+    T it affords violate iff sum alpha*(T) >= need: max uW_i + 1 over S for
+    EJR, the covered sum + 1 for PJR, where up to one the 1 becomes
+    max(1, best single addition).  Only the nonempty submasks T of supp =
+    {c : alpha*(c) > 0} are walked, in increasing order, and S is skipped
+    when sum alpha*(supp) < need.  The first witness is unchanged: dropping
+    the zero-threshold projects from a violating T keeps sum alpha* and does
+    not raise the cost, so T & supp violates too and, as a mask, is <= T.
+    The first violating T in full mask order is therefore a submask of supp.
+    """
     _check_caps(instance)
     bundle = check_bundle(instance, bundle)
-    uW = {v: instance.voter_utility(v, bundle) for v in instance.voters}
-    outside = [c for c in instance.projects if c not in bundle]
-    best_add = {
-        v: max((instance.utilities[v][a] for a in outside), default=Fraction(0))
-        for v in instance.voters
-    }
+    m = len(instance.projects)
+    inside = [c for c in range(m) if instance.projects[c] in bundle]
+    outside = [c for c in range(m) if instance.projects[c] not in bundle]
 
-    def for_group(members):
-        mx_base = max(uW[v] for v in members)
-        mx_add = max(uW[v] + best_add[v] for v in members)
+    def need(row):  # a voter's row under EJR, the group's max row under PJR
+        add = max((row[c] for c in outside), default=0) if up_to_one else 0
+        return sum(row[c] for c in inside) + max(1, add)
 
-        def test(sum_alpha):
-            if mx_base >= sum_alpha:
-                return False
-            return not up_to_one or mx_add <= sum_alpha
+    extra = (lambda rows: [[need(r)] for r in rows]) if ejr else None
+    group_need = (lambda high: high[m]) if ejr else need
+    costs, share, _ = _mask_costs(instance)
+    sums = [0] * len(costs)
 
-        return test
+    def found(size, low, high, supp, union):
+        goal = group_need(high)
+        if sum(low) < goal:
+            return None
+        cap = size * share
+        t = 0
+        while t := (t - supp) & supp:
+            bit = t & -t
+            s = sums[t] = sums[t ^ bit] + low[bit.bit_length() - 1]
+            if s >= goal and costs[t] <= cap:
+                return t
 
-    witness = _cohesive_search(instance, bundle, for_group)
+    hit = _group_search(instance, found, extra)
     mode = {"up_to_one": up_to_one}
-    if witness is None:
+    if hit is None:
         return AxiomVerdict(SATISFIED, mode=mode)
+    group = frozenset(_mask_members(hit[0], instance.voters))
+    target = frozenset(_mask_members(hit[1], instance.projects))
+    alpha = {c: min(instance.utilities[v][c] for v in group) for c in target}
+    witness = CohesivenessWitness(group, target, alpha)
+    if not validate_cohesiveness_witness(instance, witness):
+        raise CertificateError(f"cohesiveness witness fails: {witness}")
     return AxiomVerdict(VIOLATED, witness, mode=mode)
+
+
+def check_ejr(instance: PBInstance, bundle, up_to_one=False) -> AxiomVerdict:
+    return _cohesive_verdict(instance, bundle, True, up_to_one)
 
 
 def check_pjr(instance: PBInstance, bundle, up_to_one=False) -> AxiomVerdict:
-    _check_caps(instance)
-    bundle = check_bundle(instance, bundle)
-    outside = [c for c in instance.projects if c not in bundle]
+    return _cohesive_verdict(instance, bundle, False, up_to_one)
 
-    def for_group(members):
-        lhs = sum(
-            (max(instance.utilities[v][c] for v in members) for c in bundle),
-            Fraction(0),
-        )
-        add = max(
-            (max(instance.utilities[v][a] for v in members) for a in outside),
-            default=Fraction(0),
-        )
 
-        def test(sum_alpha):
-            if lhs >= sum_alpha:
-                return False
-            return not up_to_one or lhs + add <= sum_alpha
-
-        return test
-
-    witness = _cohesive_search(instance, bundle, for_group)
-    mode = {"up_to_one": up_to_one}
-    if witness is None:
-        return AxiomVerdict(SATISFIED, mode=mode)
-    return AxiomVerdict(VIOLATED, witness, mode=mode)
+def _committee_verdict(instance, bundle, axiom, found):
+    hit = _group_search(instance, found)
+    if hit is None:
+        return AxiomVerdict(SATISFIED)
+    group = frozenset(_mask_members(hit[0], instance.voters))
+    witness = CommitteeWitness(group, hit[1])
+    if not validate_committee_witness(instance, bundle, witness, axiom):
+        raise CertificateError(f"{axiom} witness fails: {witness}")
+    return AxiomVerdict(VIOLATED, witness)
 
 
 def check_mwv_pjr(instance: PBInstance, bundle) -> AxiomVerdict:
     """Committee-style PJR: every group owed ell commonly-approved seats
-    must see at least ell of its union-approved projects selected."""
+    must see at least ell of its union-approved projects selected.  A group
+    seeing s of them is denied the levels in (s, min(|inter|, |S| k / n)],
+    so it violates iff s + 1, the level reported, lies in that interval."""
     if not instance.is_mwv:
         raise ValueError("committee-style PJR requires an MWV instance")
     k = instance.committee_size()
     _check_caps(instance)
     bundle = check_bundle(instance, bundle)
     n = len(instance.voters)
-    approvals = {v: instance.approval_set(v) for v in instance.voters}
-    for smask in range(1, 1 << n):
-        members = _mask_members(smask, instance.voters)
-        inter = frozenset.intersection(*(approvals[v] for v in members))
-        union = frozenset.union(*(approvals[v] for v in members))
-        selected = len(union & bundle)
-        for ell in range(1, k + 1):
-            if len(members) * k < ell * n:
-                break
-            if len(inter) >= ell and selected < ell:
-                witness = CommitteeWitness(frozenset(members), Fraction(ell))
-                return AxiomVerdict(VIOLATED, witness)
-    return AxiomVerdict(SATISFIED)
+    chosen = sum(1 << c for c, x in enumerate(instance.projects) if x in bundle)
+
+    def found(size, low, high, inter, union):
+        ell = (union & chosen).bit_count() + 1
+        if ell * n <= size * k and ell <= inter.bit_count():
+            return Fraction(ell)
+
+    return _committee_verdict(instance, bundle, "mwvpjr", found)
 
 
 def check_strong_bpjr(instance: PBInstance, bundle) -> AxiomVerdict:
@@ -323,24 +355,21 @@ def check_strong_bpjr(instance: PBInstance, bundle) -> AxiomVerdict:
     For a fixed S the violating levels form the interval
     (cost(union & W), min(l, |S| l / n, cost(intersection))], so the
     interval-nonemptiness test is exact; the witness level is the
-    interval's upper end.
+    interval's upper end (|S| l / n <= l, so l never binds).
     """
     if not instance.is_approval:
         raise ValueError("budget-limit PJR requires an approval instance")
     _check_caps(instance)
     bundle = check_bundle(instance, bundle)
-    n = len(instance.voters)
-    l = instance.budget
-    approvals = {v: instance.approval_set(v) for v in instance.voters}
-    for smask in range(1, 1 << n):
-        members = _mask_members(smask, instance.voters)
-        inter = frozenset.intersection(*(approvals[v] for v in members))
-        union = frozenset.union(*(approvals[v] for v in members))
-        bound = min(l, Fraction(len(members)) * l / n, instance.cost_of(inter))
-        if instance.cost_of(union & bundle) < bound:
-            witness = CommitteeWitness(frozenset(members), bound)
-            return AxiomVerdict(VIOLATED, witness)
-    return AxiomVerdict(SATISFIED)
+    costs, share, unit = _mask_costs(instance)
+    chosen = sum(1 << c for c, x in enumerate(instance.projects) if x in bundle)
+
+    def found(size, low, high, inter, union):
+        bound = min(size * share, costs[inter])
+        if costs[union & chosen] < bound:
+            return Fraction(bound, unit)
+
+    return _committee_verdict(instance, bundle, "bpjr", found)
 
 
 def _payment_var(voter, project):

@@ -11,6 +11,7 @@ an instance the command is not defined on.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -271,10 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on first use and kept: every build leaves argparse's formatter
+# objects in reference cycles, which only the cyclic collector frees.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage error, 0 on --help; keep that contract.
         return int(exc.code or 0)

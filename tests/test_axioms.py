@@ -18,9 +18,11 @@ from pbprop import (
     price_system_from_phragmen,
     random_instance,
     validate_cohesiveness_witness,
+    validate_committee_witness,
     validate_core_witness,
     validate_price_system,
 )
+from pbprop import axioms
 from pbprop.axioms import CohesivenessWitness, EnumerationCapError
 from pbprop.fixtures import get_fixture
 from pbprop.model import CertificateError
@@ -132,6 +134,36 @@ def test_strong_bpjr_verdicts():
     assert starved.witness.group == frozenset({"v3"})
 
 
+def test_committee_witness_validation_rejects_corruption(monkeypatch):
+    unit_split, starved = get_fixture("unit_split"), frozenset({"c3", "c4", "c5"})
+    split_ten, short = get_fixture("split_ten"), frozenset({"c1", "c2", "c3", "c6"})
+    mwv = check_mwv_pjr(unit_split, starved).witness
+    bpjr = check_strong_bpjr(split_ten, short).witness
+    assert (mwv.group, mwv.level) == (frozenset({"v1", "v2"}), 2)
+    assert (bpjr.group, bpjr.level) == (frozenset({"v3"}), Fraction(10, 3))
+    assert validate_committee_witness(unit_split, starved, mwv, "mwvpjr")
+    assert validate_committee_witness(split_ten, short, bpjr, "bpjr")
+    corrupt = axioms.CommitteeWitness
+    for bad in (
+        lambda group, level: corrupt(group, level + 1),  # more than owed
+        lambda group, level: corrupt(group, Fraction(1)),  # what both groups have
+        lambda group, level: corrupt(frozenset({"v1", "v2", "v3"}), level),
+        lambda group, level: corrupt(frozenset(), level),
+    ):
+        assert not validate_committee_witness(
+            unit_split, starved, bad(mwv.group, mwv.level), "mwvpjr"
+        )
+        assert not validate_committee_witness(
+            split_ten, short, bad(bpjr.group, bpjr.level), "bpjr"
+        )
+        monkeypatch.setattr(axioms, "CommitteeWitness", bad)
+        with pytest.raises(CertificateError):
+            check_mwv_pjr(unit_split, starved)
+        with pytest.raises(CertificateError):
+            check_strong_bpjr(split_ten, short)
+        monkeypatch.undo()
+
+
 def test_priceable_fixture_verdicts():
     assert not check_priceable(
         get_fixture("unit_split"), {"c1", "c2", "c3", "c4"}
@@ -205,3 +237,130 @@ def test_violation_witnesses_always_validate():
             verdict = checker(inst, w)
             if not verdict.satisfied:
                 assert validate_cohesiveness_witness(inst, verdict.witness)
+
+
+def _ascending(ids):
+    """Every nonempty subset of ids, in increasing bitmask order (bit k is
+    ids[k])."""
+    for mask in range(1, 1 << len(ids)):
+        yield frozenset(x for k, x in enumerate(ids) if mask >> k & 1)
+
+
+def _literal_cohesive_witnesses(inst, bundle):
+    """The first (group, target, alpha*) of EJR, EJR-up-to-one, PJR and
+    PJR-up-to-one, from the definitions: every S, then every T, ascending,
+    with alpha*(c) = min over S of u_i(c), in Fractions."""
+    n = len(inst.voters)
+    outside = [a for a in inst.projects if a not in bundle]
+    first = {}
+    for group in _ascending(inst.voters):
+        have = [inst.voter_utility(v, bundle) for v in group]
+        more = [
+            max([h] + [h + inst.utilities[v][a] for a in outside])
+            for v, h in zip(group, have)
+        ]
+        top = {c: max(inst.utilities[v][c] for v in group) for c in inst.projects}
+        covered = sum((top[c] for c in bundle), Fraction(0))
+        covered_more = max([covered] + [covered + top[a] for a in outside])
+        for target in _ascending(inst.projects):
+            if len(group) * inst.budget < inst.cost_of(target) * n:
+                continue
+            alpha = {c: min(inst.utilities[v][c] for v in group) for c in target}
+            total = sum(alpha.values(), Fraction(0))
+            violated = {
+                "ejr": all(h < total for h in have),
+                "ejr1": all(h < total for h in have) and all(x <= total for x in more),
+                "pjr": covered < total,
+                "pjr1": covered < total and covered_more <= total,
+            }
+            for axiom, bad in violated.items():
+                if bad and axiom not in first:
+                    first[axiom] = (group, target, alpha)
+            if len(first) == 4:
+                return first
+    return first
+
+
+def _literal_committee_witnesses(inst, bundle, committee):
+    """The first (group, level) of budget-limit PJR (largest owed level,
+    cost) and, on a committee instance, of committee PJR (least level,
+    seats), from the definitions."""
+    n, l = len(inst.voters), inst.budget
+    approvals = {v: inst.approval_set(v) for v in inst.voters}
+    first = {}
+    for group in _ascending(inst.voters):
+        inter = frozenset.intersection(*(approvals[v] for v in group))
+        selected = frozenset.union(*(approvals[v] for v in group)) & bundle
+        owed = min(l, len(group) * l / n, inst.cost_of(inter))
+        if "bpjr" not in first and inst.cost_of(selected) < owed:
+            first["bpjr"] = (group, owed)
+        if committee and "mwvpjr" not in first:
+            k = inst.committee_size()
+            for ell in range(1, k + 1):
+                if len(group) * k >= ell * n and len(inter) >= ell > len(selected):
+                    first["mwvpjr"] = (group, ell)
+                    break
+    return first
+
+
+def _differential_instance(rng, trial):
+    """n, m <= 6: approval, committee (unit costs, integer k) or cardinal
+    with fractional utilities, where zeros leave zero-threshold columns."""
+    n, m = rng.randint(1, 6), rng.randint(1, 6)
+    voters = [f"v{i}" for i in range(n)]
+    projects = [f"c{j}" for j in range(m)]
+    kind = trial % 3
+    if kind == 1:
+        cost = {c: 1 for c in projects}
+        budget = rng.randint(1, m)
+    else:
+        cost = {c: Fraction(rng.randint(1, 6), rng.choice((1, 2, 3))) for c in projects}
+        budget = Fraction(rng.randint(1, 12), 2)
+    levels = ("1",) if kind < 2 else ("1/3", "1/2", "2/3", "3/4", "1")
+    utilities = {
+        v: {c: rng.choice(levels) for c in projects if rng.random() < 0.6}
+        for v in voters
+    }
+    return PBInstance.build(voters, projects, cost, utilities, budget)
+
+
+def test_first_witness_matches_definition_literal_search():
+    rng = random.Random(20261018)
+    seen = {}
+    zero_columns = 0
+    for trial in range(360):
+        inst = _differential_instance(rng, trial)
+        bundle = random_bundle(inst, rng)
+        expected = _literal_cohesive_witnesses(inst, bundle)
+        for axiom, verdict in (
+            ("ejr", check_ejr(inst, bundle)),
+            ("ejr1", check_ejr(inst, bundle, up_to_one=True)),
+            ("pjr", check_pjr(inst, bundle)),
+            ("pjr1", check_pjr(inst, bundle, up_to_one=True)),
+        ):
+            w = verdict.witness
+            got = None if w is None else (w.group, w.target, w.alpha)
+            assert got == expected.get(axiom), (trial, axiom)
+            seen[axiom, got is None] = seen.get((axiom, got is None), 0) + 1
+            if w is not None and not inst.is_approval:
+                zero_columns += any(
+                    min(inst.utilities[v][c] for v in w.group) == 0
+                    for c in inst.projects
+                )
+        if not inst.is_approval:
+            continue
+        committee = trial % 3 == 1
+        expected = _literal_committee_witnesses(inst, bundle, committee)
+        checks = [("bpjr", check_strong_bpjr)]
+        if committee:
+            checks.append(("mwvpjr", check_mwv_pjr))
+        for axiom, checker in checks:
+            w = checker(inst, bundle).witness
+            got = None if w is None else (w.group, w.level)
+            assert got == expected.get(axiom), (trial, axiom)
+            seen[axiom, got is None] = seen.get((axiom, got is None), 0) + 1
+    # Both verdicts occur for every axiom, and cardinal witnesses skip
+    # zero-threshold projects.
+    for axiom in ("ejr", "ejr1", "pjr", "pjr1", "bpjr", "mwvpjr"):
+        assert seen.get((axiom, True)) and seen.get((axiom, False)), axiom
+    assert zero_columns > 0

@@ -17,7 +17,7 @@ from pbprop import (
 )
 import pbprop
 from pbprop import axioms, linsolve  # modules whose caps the tests lower
-from pbprop.cli import main
+from pbprop.cli import build_parser, main
 from pbprop.fixtures import FIXTURES, get_fixture
 from pbprop.io import FormatError, load_instance
 from pbprop.laminar import generate_laminar
@@ -254,6 +254,23 @@ def test_cli_run_error_leaves_stdout_empty(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_cli_main_leaves_no_cyclic_garbage(capsys):
+    import gc
+
+    unit_split = str(INSTANCES / "unit_split.json")
+    argv = ["check", "ejr", unit_split, "--bundle", "c1,c2,c3,c4"]
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert build_parser().parse_args(argv).axiom == "ejr"
 
 
 def test_python_m_pbprop_runs_the_cli():
