@@ -10,7 +10,6 @@ witness found is reproducible.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,6 +21,7 @@ from .model import (
     EnumerationCapError,
     PBInstance,
     ValidationReport,
+    _scaled,
     check_bundle,
 )
 
@@ -148,13 +148,6 @@ def validate_committee_witness(instance, bundle, witness, axiom) -> bool:
     raise ValueError(f"no committee witness for axiom {axiom!r}")
 
 
-def _scaled(values):
-    """Integers over the values' least common denominator, and that
-    denominator."""
-    den = math.lcm(*[x.denominator for x in values])
-    return [x.numerator * (den // x.denominator) for x in values], den
-
-
 def core_deviations(instance, bundle):
     """Yield (group, target) for every nonempty target T, in increasing
     mask order over the project ids, whose strict preferrers (the group,
@@ -220,23 +213,30 @@ def _mask_costs(instance):
     return costs, instance.budget.numerator * den, den * scale
 
 
-def _group_search(instance, found, extra=None):
+def _group_search(instance, found, extra=None, utilities=True):
     """The one voter-group walk behind EJR, PJR, bpjr and mwvpjr: returns
     (S, hit) for the first nonempty voter mask S, in increasing order,
     with a non-None ``hit = found(|S|, low, high, inter, union)``, else
     None.  ``low`` and ``high`` are the minimum and maximum over S of the
     utility rows as integers over one denominator (``high`` also of the
-    per-voter columns ``extra(rows)``); ``inter`` and ``union`` combine the
-    members' positive-utility project masks, so ``inter`` is the support
-    of ``low``.  S's tables extend those of S minus its lowest bit, the
-    last mask of |S| - 1 members visited, so one table per size is kept."""
+    per-voter columns ``extra(rows)``), or empty lists when ``utilities``
+    is false; ``inter`` and ``union`` combine the members' positive-utility
+    project masks, so ``inter`` is the support of ``low``.  S's tables
+    extend those of S minus its lowest bit, the last mask of |S| - 1
+    members visited, so one table per size is kept."""
     voters, projects, m = instance.voters, instance.projects, len(instance.projects)
-    flat, _ = _scaled([instance.utilities[v][c] for v in voters for c in projects])
-    rows = [flat[k * m : (k + 1) * m] for k in range(len(voters))]
-    tops = rows if extra is None else [r + x for r, x in zip(rows, extra(rows))]
-    supports = [sum(1 << c for c, a in enumerate(r) if a) for r in rows]
-    tables = [None] * (len(rows) + 1)
-    for smask in range(1, 1 << len(rows)):
+    supports = [
+        sum(1 << c for c, x in enumerate(projects) if instance.utilities[v][x])
+        for v in voters
+    ]
+    if utilities:
+        flat, _ = _scaled([instance.utilities[v][c] for v in voters for c in projects])
+        rows = [flat[k * m : (k + 1) * m] for k in range(len(voters))]
+        tops = rows if extra is None else [r + x for r, x in zip(rows, extra(rows))]
+    else:
+        rows = tops = [[]] * len(voters)
+    tables = [None] * (len(voters) + 1)
+    for smask in range(1, 1 << len(voters)):
         i = (smask & -smask).bit_length() - 1
         size = smask.bit_count()
         # A lone member starts from its own rows; -1 masks every project.
@@ -317,7 +317,7 @@ def check_pjr(instance: PBInstance, bundle, up_to_one=False) -> AxiomVerdict:
 
 
 def _committee_verdict(instance, bundle, axiom, found):
-    hit = _group_search(instance, found)
+    hit = _group_search(instance, found, utilities=False)
     if hit is None:
         return AxiomVerdict(SATISFIED)
     group = frozenset(_mask_members(hit[0], instance.voters))

@@ -10,10 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .model import PBInstance, as_fraction, validate
-
-
-ONE = Fraction(1)  # shared by every approval in a .pb ballot
+from .model import ONE, PBInstance, as_fraction, validate
 
 
 class FormatError(Exception):
@@ -122,12 +119,16 @@ def _pb_row(header, fields, needed, lineno):
 
 
 def parse_pabulib(text: str) -> PBInstance:
-    """Read a .pb participatory-budgeting election (approval ballots only)."""
+    """Read a .pb participatory-budgeting election (approval ballots only).
+
+    Each distinct vote string is split once, and every voter casting it
+    gets the same (read-only) row.
+    """
     section = None
     header = None
     meta = {}
     cost = {}
-    approvals = {}
+    votes = {}
     order = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -174,7 +175,7 @@ def parse_pabulib(text: str) -> PBInstance:
             row = _pb_row(header, fields, ("voter_id", "vote"), lineno)
             vid = row["voter_id"]
             order.append(vid)
-            approvals[vid] = [p for p in row["vote"].split(",") if p]
+            votes[vid] = row["vote"]
     vote_type = meta.get("vote_type", "approval")
     if vote_type != "approval":
         raise FormatError(f"only approval ballots are supported, not {vote_type!r}")
@@ -184,13 +185,17 @@ def parse_pabulib(text: str) -> PBInstance:
         budget = as_fraction(meta["budget"])
     except (ValueError, TypeError) as exc:
         raise FormatError(f"bad budget {meta['budget']!r}") from exc
+    rows = {}  # vote string -> its row
     utilities = {}
     for vid in order:
-        row = {}
-        for pid in approvals[vid]:
-            if pid not in cost:
-                raise FormatError(f"voter {vid} approves unknown project {pid!r}")
-            row[pid] = ONE
+        vote = votes[vid]
+        row = rows.get(vote)
+        if row is None:
+            row = rows[vote] = {}
+            for pid in filter(None, vote.split(",")):
+                if pid not in cost:
+                    raise FormatError(f"voter {vid} approves unknown project {pid!r}")
+                row[pid] = ONE
         utilities[vid] = row
     instance = PBInstance.build(
         order, list(cost), cost, utilities, budget, meta.get("description", "")

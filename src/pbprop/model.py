@@ -8,12 +8,14 @@ everywhere in this package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
 
 ZERO = Fraction(0)  # shared by every omitted utility entry
+ONE = Fraction(1)  # shared by every approval of a .pb or binarized ballot
 
 
 class EnumerationCapError(Exception):
@@ -33,6 +35,13 @@ def as_fraction(value) -> Fraction:
     return Fraction(str(value))
 
 
+def _scaled(values):
+    """Integers over the values' least common denominator, and that
+    denominator."""
+    den = math.lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
 @dataclass(frozen=True)
 class PBInstance:
     voters: tuple  # ordered voter ids
@@ -47,15 +56,24 @@ class PBInstance:
         """Normalise raw input (strings, ints) into canonical form.
 
         Omitted utility entries default to 0 (one shared Fraction); ids are
-        sorted canonically.
+        sorted canonically.  Each distinct input row object is normalised
+        once: voters sharing an input row share one normalised row.
         """
         voters = tuple(sorted(voters))
         projects = tuple(sorted(projects))
         cost = {c: as_fraction(x) for c, x in cost.items()}
+        empty = {}
+        done = {}  # id(row) -> (row, held so its id is not reused; normalised row)
         norm = {}
         for v in voters:
-            row = utilities.get(v, {})
-            norm[v] = {c: as_fraction(row[c]) if c in row else ZERO for c in projects}
+            row = utilities.get(v, empty)
+            seen = done.get(id(row))
+            if seen is None:
+                seen = done[id(row)] = (
+                    row,
+                    {c: as_fraction(row[c]) if c in row else ZERO for c in projects},
+                )
+            norm[v] = seen[1]
         return PBInstance(voters, projects, cost, norm, as_fraction(budget), description)
 
     def utility(self, voter, project) -> Fraction:
@@ -130,21 +148,37 @@ def validate(instance: PBInstance) -> ValidationReport:
             report.add(f"missing cost for project {c}")
         elif instance.cost[c] <= 0:
             report.add(f"nonpositive cost for project {c}")
+    faults = {}  # id(row) -> the row's bad cells, each checked once
     for v in instance.voters:
         row = instance.utilities.get(v)
         if row is None:
             report.add(f"missing utilities for voter {v}")
             continue
-        for c, u in row.items():
-            if c not in instance.cost:
+        bad = faults.get(id(row))
+        if bad is None:
+            bad = faults[id(row)] = _row_faults(row, instance.cost)
+        for unknown, c, u in bad:
+            if unknown:
                 report.add(f"utility for unknown project {c} (voter {v})")
-            if isinstance(u, Fraction):
-                in_range = 0 <= u.numerator <= u.denominator
             else:
-                in_range = 0 <= u <= 1
-            if not in_range:
                 report.add(f"utility out of [0,1]: u_{v}({c}) = {u}")
     return report
+
+
+def _row_faults(row, cost):
+    """(unknown, project, utility) for each bad cell of a utility row, in
+    row order: an unknown project, then (or instead) an out-of-range value."""
+    bad = []
+    for c, u in row.items():
+        if c not in cost:
+            bad.append((True, c, u))
+        if isinstance(u, Fraction):
+            in_range = 0 <= u.numerator <= u.denominator
+        else:
+            in_range = 0 <= u <= 1
+        if not in_range:
+            bad.append((False, c, u))
+    return bad
 
 
 def binarize(instance: PBInstance, threshold) -> PBInstance:
@@ -152,10 +186,15 @@ def binarize(instance: PBInstance, threshold) -> PBInstance:
     threshold = as_fraction(threshold)
     if not 0 < threshold <= 1:
         raise ValueError(f"threshold {threshold} outside (0, 1]")
-    utilities = {
-        v: {c: Fraction(1 if u >= threshold else 0) for c, u in row.items()}
-        for v, row in instance.utilities.items()
-    }
+    done = {}  # id(row) -> binarized row, so shared rows stay shared
+    utilities = {}
+    for v, row in instance.utilities.items():
+        new = done.get(id(row))
+        if new is None:
+            new = done[id(row)] = {
+                c: ONE if u >= threshold else ZERO for c, u in row.items()
+            }
+        utilities[v] = new
     return PBInstance(
         instance.voters,
         instance.projects,

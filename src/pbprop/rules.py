@@ -13,12 +13,19 @@ one voter's.  Traces still list every voter's payment, in voter order.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
-from .model import CertificateError, EnumerationCapError, PBInstance, check_bundle
+from .model import (
+    CertificateError,
+    EnumerationCapError,
+    PBInstance,
+    _scaled,
+    check_bundle,
+)
 
 PAV_MAX_PROJECTS = int(os.environ.get("PBPROP_PAV_MAX_PROJECTS", "20"))
 
@@ -36,12 +43,19 @@ def _ballot_types(instance):
     Returns (rows, sizes, type_of): rows[k] maps the projects of ballot
     type k to their nonzero utilities, sizes[k] counts its voters, and
     type_of maps every voter, in voter order, to the index of its type.
+    Types are keyed by content, in order of first voter; the key is built
+    once per distinct row object, since voters may share one row.
     """
     index = {}
+    known = {}  # id(row) -> type index
     type_of = {}
     for v in instance.voters:
-        key = tuple((c, u) for c, u in instance.utilities[v].items() if u)
-        type_of[v] = index.setdefault(key, len(index))
+        row = instance.utilities[v]
+        k = known.get(id(row))
+        if k is None:
+            key = tuple((c, u) for c, u in row.items() if u)
+            k = known[id(row)] = index.setdefault(key, len(index))
+        type_of[v] = k
     sizes = [0] * len(index)
     for k in type_of.values():
         sizes[k] += 1
@@ -142,14 +156,26 @@ def harmonic(j: int) -> Fraction:
     return sum((Fraction(1, i) for i in range(1, j + 1)), Fraction(0))
 
 
+def _pav_scorer(instance):
+    """Check approval once and return (score, unit): score(bundle) is the
+    PAV score of a bundle of projects times unit, an integer summed per
+    ballot type as size * H(hits), with H scaled by unit = lcm(1..m)."""
+    rows, sizes, _ = _ballot_types(instance)
+    _require_approval(rows)
+    m = len(instance.projects)
+    unit = math.lcm(*range(1, m + 1))
+    scaled_h = list(accumulate((unit // i for i in range(1, m + 1)), initial=0))
+    ballots = [(frozenset(row), size) for row, size in zip(rows, sizes)]
+
+    def score(bundle):
+        return sum(size * scaled_h[len(ballot & bundle)] for ballot, size in ballots)
+
+    return score, unit
+
+
 def pav_score(instance: PBInstance, bundle) -> Fraction:
-    _require_approval(_ballot_types(instance)[0])
-    bundle = check_bundle(instance, bundle)
-    score = Fraction(0)
-    for v in instance.voters:
-        hits = sum(1 for c in bundle if instance.utilities[v][c] == 1)
-        score += harmonic(hits)
-    return score
+    score, unit = _pav_scorer(instance)
+    return Fraction(score(check_bundle(instance, bundle)), unit)
 
 
 def pav(instance: PBInstance, collect_ties=False):
@@ -158,24 +184,28 @@ def pav(instance: PBInstance, collect_ties=False):
     Among score maximizers, the lexicographically smallest sorted member
     tuple wins.  Guarded by a hard project-count cap.
     """
-    _require_approval(_ballot_types(instance)[0])
+    score, unit = _pav_scorer(instance)
     if len(instance.projects) > PAV_MAX_PROJECTS:
         raise EnumerationCapError(
             f"{len(instance.projects)} projects exceeds PAV cap {PAV_MAX_PROJECTS}"
         )
+    projects = instance.projects
+    (*costs, budget), _ = _scaled([*map(instance.cost.get, projects), instance.budget])
+    cost = dict(zip(projects, costs))
     best_score = None
     maximizers = []
-    for r in range(len(instance.projects) + 1):
-        for combo in combinations(instance.projects, r):
-            if instance.cost_of(combo) > instance.budget:
+    for r in range(len(projects) + 1):
+        for combo in combinations(projects, r):
+            if sum(cost[c] for c in combo) > budget:
                 continue
-            score = pav_score(instance, frozenset(combo))
-            if best_score is None or score > best_score:
-                best_score = score
+            value = score(frozenset(combo))
+            if best_score is None or value > best_score:
+                best_score = value
                 maximizers = [tuple(sorted(combo))]
-            elif score == best_score:
+            elif value == best_score:
                 maximizers.append(tuple(sorted(combo)))
     winner = frozenset(min(maximizers))
+    best_score = Fraction(best_score, unit)
     if collect_ties:
         return winner, best_score, sorted(maximizers)
     return winner, best_score
