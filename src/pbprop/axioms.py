@@ -10,12 +10,11 @@ witness found is reproducible.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from . import linsolve
+from . import config, linsolve
 from .model import (
     CertificateError,
     EnumerationCapError,
@@ -25,17 +24,15 @@ from .model import (
     check_bundle,
 )
 
-ENUM_MAX_BITS = int(os.environ.get("PBPROP_ENUM_MAX_BITS", "16"))
-
 SATISFIED = "satisfied"
 VIOLATED = "violated"
 
 
 def _check_caps(instance):
     for kind, ids in (("voters", instance.voters), ("projects", instance.projects)):
-        if len(ids) > ENUM_MAX_BITS:
+        if len(ids) > config.ENUM_MAX_BITS:
             raise EnumerationCapError(
-                f"{len(ids)} {kind} exceeds subset-search cap {ENUM_MAX_BITS}"
+                f"{len(ids)} {kind} exceeds subset-search cap {config.ENUM_MAX_BITS}"
             )
 
 

@@ -4,8 +4,8 @@ Subcommands: run (a voting rule), check (an axiom against a bundle),
 laminar (recognition + decomposition dump), gen (instance generators),
 search (randomized counterexample hunt), paper-verify (the built-in
 fixture suite).  Exit status: 0 success or Satisfied, 1 Violated (or not
-laminar), 2 usage error, malformed input, an instance over a size cap, or
-an instance the command is not defined on.
+laminar), 2 usage error, malformed input or cap value, an instance over a
+size cap, or an instance the command is not defined on.
 """
 
 from __future__ import annotations
@@ -16,12 +16,13 @@ import sys
 from fractions import Fraction
 
 from . import __version__
+from .config import ConfigError
 from .axioms import (
     CohesivenessWitness,
     CommitteeWitness,
     CoreWitness,
     PriceSystem,
-    check_priceable,
+    check_priceable,  # noqa: F401  perfbench --trace 1 wraps cli.check_priceable
 )
 from .io import FormatError, load_instance, serialize_instance
 from .laminar import (
@@ -124,10 +125,8 @@ def _cmd_run(args, out):
 def _cmd_check(args, out):
     instance = load_instance(args.file)
     bundle = frozenset(x for x in args.bundle.split(",") if x)
-    if args.axiom == "priceable":
-        verdict = check_priceable(instance, bundle, b_min_one=args.b_min == 1)
-    else:
-        verdict = MAIN_CHECKERS[args.axiom](instance, bundle)
+    axiom = "priceable1" if args.axiom == "priceable" and args.b_min else args.axiom
+    verdict = MAIN_CHECKERS[axiom](instance, bundle)
     out.write(REPORT_HEADER + "\n")
     out.write(f"check {args.axiom} on {args.file} bundle {_fmt_set(bundle)}\n")
     out.write(("Satisfied" if verdict.satisfied else "Violated") + "\n")
@@ -208,8 +207,8 @@ def _cmd_search(args, out):
 
 
 def _cmd_verify(args, out):
-    out.write(REPORT_HEADER + "\n")
     items = run_verification()
+    out.write(REPORT_HEADER + "\n")
     width = max(len(i.name) for i in items)
     failures = 0
     for item in items:
@@ -286,6 +285,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args, sys.stdout)
     except (
+        ConfigError,
         FormatError,
         OSError,
         ValueError,

@@ -1,160 +1,26 @@
-"""Small benchmark instances with known rule outcomes and axiom verdicts.
+"""The reference instances of ``paper-verify``.
 
-These are the reference examples exercised by the built-in verification
-command; each has a short descriptive name.
+Each is one JSON file under ``instances/``, shipped as package data and
+parsed on demand.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import os
 
+from .io import load_instance
 from .model import PBInstance
 
-
-def _frac(x):
-    return Fraction(x)
-
-
-def cardinal_quartet() -> PBInstance:
-    """Four voters, four projects, graded utilities, budget 1."""
-    return PBInstance.build(
-        voters=["v1", "v2", "v3", "v4"],
-        projects=["c1", "c2", "c3", "c4"],
-        cost={"c1": "2/5", "c2": "3/10", "c3": "7/10", "c4": "7/20"},
-        utilities={
-            "v1": {"c1": "1", "c2": "3/10", "c3": "1/10"},
-            "v2": {"c1": "7/10", "c2": "2/5", "c3": "1/5", "c4": "2/5"},
-            "v3": {"c1": "1/10", "c3": "2/5", "c4": "1/5"},
-            "v4": {"c2": "2/5", "c3": "2/5", "c4": "1"},
-        },
-        budget="1",
-        description="four graded voters over four projects",
-    )
+INSTANCES = os.path.join(os.path.dirname(__file__), "instances")
+FIXTURES = ("cardinal_quartet", "split_ten", "cheap_fill", "unit_split",
+            "two_camps", "tall_stack", "common_tail")
 
 
-def split_ten() -> PBInstance:
-    """Two disjoint camps under one shared cheap project, budget 10."""
-    approvals = {
-        "v1": ["c6", "c1", "c2", "c3"],
-        "v2": ["c6", "c1", "c2", "c3"],
-        "v3": ["c6", "c4", "c5"],
-    }
-    return PBInstance.build(
-        voters=list(approvals),
-        projects=["c1", "c2", "c3", "c4", "c5", "c6"],
-        cost={"c1": 2, "c2": 3, "c3": 3, "c4": 2, "c5": 4, "c6": 1},
-        utilities={v: {c: 1 for c in cs} for v, cs in approvals.items()},
-        budget=10,
-        description="shared project over a two-way proportional split",
-    )
-
-
-def cheap_fill() -> PBInstance:
-    """Same approval shape as split_ten, but the shared project is the
-    expensive one and the camp projects are cheap."""
-    approvals = {
-        "v1": ["c6", "c1", "c2", "c3"],
-        "v2": ["c6", "c1", "c2", "c3"],
-        "v3": ["c6", "c4", "c5"],
-    }
-    return PBInstance.build(
-        voters=list(approvals),
-        projects=["c1", "c2", "c3", "c4", "c5", "c6"],
-        cost={c: "1/10" for c in ["c1", "c2", "c3", "c4", "c5"]} | {"c6": "7/10"},
-        utilities={v: {c: 1 for c in cs} for v, cs in approvals.items()},
-        budget=1,
-        description="cheap camp projects crowd out the shared one",
-    )
-
-
-def unit_split() -> PBInstance:
-    """Unit costs, committee size four, two camps sharing one project."""
-    approvals = {
-        "v1": ["c1", "c2", "c5"],
-        "v2": ["c1", "c2", "c5"],
-        "v3": ["c3", "c4", "c5"],
-    }
-    return PBInstance.build(
-        voters=list(approvals),
-        projects=["c1", "c2", "c3", "c4", "c5"],
-        cost={c: 1 for c in ["c1", "c2", "c3", "c4", "c5"]},
-        utilities={v: {c: 1 for c in cs} for v, cs in approvals.items()},
-        budget=4,
-        description="committee of four over two camps with one overlap",
-    )
-
-
-def two_camps() -> PBInstance:
-    """Two low-utility voters on shared projects against three voters with
-    a personal project each; graded utilities, budget 1."""
-    utilities = {
-        "s1": {"t1": "3/5", "t2": "3/5"},
-        "s2": {"t1": "3/5", "t2": "3/5"},
-        "v1": {"c1": 1},
-        "v2": {"c2": 1},
-        "v3": {"c3": 1},
-    }
-    return PBInstance.build(
-        voters=list(utilities),
-        projects=["t1", "t2", "c1", "c2", "c3"],
-        cost={c: "1/5" for c in ["t1", "t2", "c1", "c2", "c3"]},
-        utilities=utilities,
-        budget=1,
-        description="shared moderate utilities versus personal projects",
-    )
-
-
-def tall_stack() -> PBInstance:
-    """One unanimous project over a large stack of cheap group projects."""
-    utilities = {}
-    for v in ["v1", "v2", "v3"]:
-        utilities[v] = {"c": 1} | {f"t{i}": 1 for i in range(1, 9)}
-    utilities["v4"] = {"c": 1} | {f"x{i}": 1 for i in range(1, 5)}
-    projects = ["c"] + [f"t{i}" for i in range(1, 9)] + [f"x{i}" for i in range(1, 5)]
-    cost = {"c": Fraction(1)} | {p: Fraction(1, 3) for p in projects if p != "c"}
-    return PBInstance.build(
-        voters=["v1", "v2", "v3", "v4"],
-        projects=projects,
-        cost=cost,
-        utilities=utilities,
-        budget="11/3",
-        description="unanimous project plus many cheap group projects",
-    )
+def get_fixture(name: str) -> PBInstance:
+    if name not in FIXTURES:
+        raise KeyError(f"unknown fixture {name!r}; have {sorted(FIXTURES)}")
+    return load_instance(os.path.join(INSTANCES, f"{name}.json"))
 
 
 def tall_stack_bundle() -> frozenset:
     return frozenset(["c", "t1", "t2", "t3", "t4", "t5", "t6", "x1", "x2"])
-
-
-def common_tail() -> PBInstance:
-    """Three voters with one personal project each plus three shared ones."""
-    return PBInstance.build(
-        voters=["v1", "v2", "v3"],
-        projects=["c1", "c2", "c3", "c4", "c5", "c6"],
-        cost={c: 1 for c in ["c1", "c2", "c3", "c4", "c5", "c6"]},
-        utilities={
-            "v1": {"c1": 1, "c4": 1, "c5": 1, "c6": 1},
-            "v2": {"c2": 1, "c4": 1, "c5": 1, "c6": 1},
-            "v3": {"c3": 1, "c4": 1, "c5": 1, "c6": 1},
-        },
-        budget=3,
-        description="personal projects shadowing a shared tail",
-    )
-
-
-FIXTURES = {
-    "cardinal_quartet": cardinal_quartet,
-    "split_ten": split_ten,
-    "cheap_fill": cheap_fill,
-    "unit_split": unit_split,
-    "two_camps": two_camps,
-    "tall_stack": tall_stack,
-    "common_tail": common_tail,
-}
-
-
-def get_fixture(name: str) -> PBInstance:
-    try:
-        return FIXTURES[name]()
-    except KeyError:
-        raise KeyError(f"unknown fixture {name!r}; have {sorted(FIXTURES)}") from None

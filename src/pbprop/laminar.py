@@ -14,12 +14,12 @@ decompositions.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
+from . import config
 from .axioms import (
     SATISFIED,
     VIOLATED,
@@ -30,8 +30,6 @@ from .axioms import (
     validate_core_witness,
 )
 from .model import CertificateError, EnumerationCapError, PBInstance, check_bundle
-
-LAMINAR_MAX_BITS = int(os.environ.get("PBPROP_LAMINAR_MAX_BITS", "16"))
 
 
 class NotLaminarError(ValueError):
@@ -105,7 +103,8 @@ def _slice_cases(instance):
     """
     if not instance.is_approval:
         raise ValueError("laminar recognition requires an approval instance")
-    if len(instance.voters) > LAMINAR_MAX_BITS or len(instance.projects) > LAMINAR_MAX_BITS:
+    cap = config.LAMINAR_MAX_BITS
+    if len(instance.voters) > cap or len(instance.projects) > cap:
         raise EnumerationCapError("instance exceeds laminar-search caps")
     approval = {v: instance.approval_set(v) for v in instance.voters}
     memo = {}

@@ -32,11 +32,11 @@ The pivot rules fix which vertex is returned:
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from . import config
 from .model import CertificateError
 
 LEQ = "<="
@@ -44,9 +44,6 @@ EQ = "=="
 GEQ = ">="
 
 _RELATIONS = (LEQ, EQ, GEQ)
-
-MAX_VARIABLES = int(os.environ.get("PBPROP_LP_MAX_VARS", "4096"))
-MAX_CONSTRAINTS = int(os.environ.get("PBPROP_LP_MAX_CONSTRAINTS", "8192"))
 
 
 class ResourceLimitError(Exception):
@@ -148,11 +145,12 @@ def lp_feasible(system: LinearSystem) -> FeasibilityResult:
     simplex minimises the sum of artificial variables.
     """
     nvars = len(system.variables)
-    if nvars > MAX_VARIABLES:
-        raise ResourceLimitError(f"{nvars} variables exceeds cap {MAX_VARIABLES}")
-    if len(system.constraints) > MAX_CONSTRAINTS:
+    max_vars, max_rows = config.LP_MAX_VARS, config.LP_MAX_CONSTRAINTS
+    if nvars > max_vars:
+        raise ResourceLimitError(f"{nvars} variables exceeds cap {max_vars}")
+    if len(system.constraints) > max_rows:
         raise ResourceLimitError(
-            f"{len(system.constraints)} constraints exceeds cap {MAX_CONSTRAINTS}"
+            f"{len(system.constraints)} constraints exceeds cap {max_rows}"
         )
     if not system.constraints:
         return FeasibilityResult(True, {v: Fraction(0) for v in system.variables})

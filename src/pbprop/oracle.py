@@ -10,18 +10,15 @@ implications; caps are small on purpose.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional
 
+from . import config
 from .axioms import SATISFIED, VIOLATED, AxiomVerdict
 from .model import PBInstance, check_bundle
-
-ORACLE_MAX_BITS = int(os.environ.get("PBPROP_ORACLE_MAX_BITS", "8"))
-ALPHA_PRODUCT_CAP = int(os.environ.get("PBPROP_ORACLE_ALPHA_CAP", "200000"))
 
 
 class OracleCapError(Exception):
@@ -29,9 +26,10 @@ class OracleCapError(Exception):
 
 
 def _check_caps(instance):
-    if len(instance.voters) > ORACLE_MAX_BITS or len(instance.projects) > ORACLE_MAX_BITS:
+    cap = config.ORACLE_MAX_BITS
+    if len(instance.voters) > cap or len(instance.projects) > cap:
         raise OracleCapError(
-            f"oracle caps are n, m <= {ORACLE_MAX_BITS}; instance has "
+            f"oracle caps are n, m <= {cap}; instance has "
             f"{len(instance.voters)} voters, {len(instance.projects)} projects"
         )
 
@@ -86,7 +84,7 @@ def _alpha_choices(instance, group, target):
     size = 1
     for ch in choices:
         size *= len(ch)
-        if size > ALPHA_PRODUCT_CAP:
+        if size > config.ORACLE_ALPHA_CAP:
             raise OracleCapError("alpha search space exceeds oracle cap")
     return choices
 

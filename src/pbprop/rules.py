@@ -14,11 +14,11 @@ one voter's.  Traces still list every voter's payment, in voter order.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, combinations
 
+from . import config
 from .model import (
     CertificateError,
     EnumerationCapError,
@@ -26,8 +26,6 @@ from .model import (
     _scaled,
     check_bundle,
 )
-
-PAV_MAX_PROJECTS = int(os.environ.get("PBPROP_PAV_MAX_PROJECTS", "20"))
 
 STOP_BUDGET = "budget-exhausted"
 STOP_NO_PROJECT = "no-affordable-project"
@@ -185,9 +183,10 @@ def pav(instance: PBInstance, collect_ties=False):
     tuple wins.  Guarded by a hard project-count cap.
     """
     score, unit = _pav_scorer(instance)
-    if len(instance.projects) > PAV_MAX_PROJECTS:
+    cap = config.PAV_MAX_PROJECTS
+    if len(instance.projects) > cap:
         raise EnumerationCapError(
-            f"{len(instance.projects)} projects exceeds PAV cap {PAV_MAX_PROJECTS}"
+            f"{len(instance.projects)} projects exceeds PAV cap {cap}"
         )
     projects = instance.projects
     (*costs, budget), _ = _scaled([*map(instance.cost.get, projects), instance.budget])

@@ -1,34 +1,32 @@
 """Built-in verification suite over the shipped reference fixtures.
 
-Each item re-derives a documented outcome (rule run, axiom verdict,
-witness) on one fixture and reports pass or fail; the CLI exposes this as
-the ``paper-verify`` command.
+Each row of ``TABLE`` re-derives documented outcomes on one fixture: rule
+winners, axiom verdicts (checkers from ``registry.MAIN_CHECKERS``), first
+witnesses, and a stated cohesive group with its exact covered and required
+totals. Every price-system certificate is re-validated. The cardinal_quartet
+rule walkthrough and the split_ten decomposition are checked by a function
+each. The CLI exposes the suite as the ``paper-verify`` command.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
+from fractions import Fraction as F
+from typing import Callable, Optional
 
 from .axioms import (
     CohesivenessWitness,
-    check_core,
-    check_ejr,
-    check_pjr,
-    check_priceable,
+    PriceSystem,
     validate_cohesiveness_witness,
     validate_price_system,
 )
 from .fixtures import get_fixture, tall_stack_bundle
-from .laminar import (
-    Split,
-    UnanimousProject,
-    check_core_u_afford,
-    is_laminar_proportional,
-    recognize_laminar,
-)
+from .laminar import Split, UnanimousProject, recognize_laminar
 from .model import binarize
+from .registry import MAIN_CHECKERS
 from .rules import pav, pav_score, phragmen, rule_x
+
+RULES = {"phragmen": phragmen, "rulex": rule_x}
 
 
 @dataclass
@@ -38,245 +36,144 @@ class VerifyItem:
     detail: str
 
 
-def _item(name, ok, detail=""):
-    return VerifyItem(name, bool(ok), detail)
-
-
-def _check_rules_walkthrough():
-    inst = get_fixture("cardinal_quartet")
+def _rules_walkthrough(inst):
     approval = binarize(inst, "3/10")
     problems = []
-
     winners, trace = phragmen(approval)
-    if winners != frozenset({"c2", "c4"}):
+    if winners != {"c2", "c4"}:
         problems.append(f"phragmen returned {sorted(winners)}")
     times = [e.time for e in trace.events]
-    if times != [Fraction(1, 10), Fraction(11, 40)]:
+    if times != [F(1, 10), F(11, 40)]:
         problems.append(f"phragmen event times {times}")
-
     pav_winner, score = pav(approval)
-    if pav_winner != frozenset({"c2", "c3"}) or score != Fraction(9, 2):
+    if pav_winner != {"c2", "c3"} or score != F(9, 2):
         problems.append(f"pav returned {sorted(pav_winner)} score {score}")
-    expected_scores = {
-        frozenset({"c1", "c4"}): Fraction(7, 2),
-        frozenset({"c1", "c2"}): Fraction(4),
-        frozenset({"c2", "c3"}): Fraction(9, 2),
-        frozenset({"c2", "c4"}): Fraction(4),
-    }
-    for bundle, want in expected_scores.items():
-        got = pav_score(approval, bundle)
+    pav_scores = [("c1", "c4", F(7, 2)), ("c1", "c2", F(4)), ("c2", "c3", F(9, 2)),
+                  ("c2", "c4", F(4))]
+    for *bundle, want in pav_scores:
+        got = pav_score(approval, frozenset(bundle))
         if got != want:
             problems.append(f"pav_score({sorted(bundle)}) = {got}, want {want}")
-
     x_winner, x_trace = rule_x(inst)
-    if x_winner != frozenset({"c1", "c4"}):
+    if x_winner != {"c1", "c4"}:
         problems.append(f"rule_x returned {sorted(x_winner)}")
     rhos = [r.rho for r in x_trace.rounds]
-    if rhos != [Fraction(7, 32), Fraction(2, 9)]:
+    if rhos != [F(7, 32), F(2, 9)]:
         problems.append(f"rule_x rhos {rhos}")
-    spent = sum(
-        (p for r in x_trace.rounds for p in r.payments.values()), Fraction(0)
-    )
-    if inst.budget - spent != Fraction(1, 4):
+    spent = sum((p for r in x_trace.rounds for p in r.payments.values()), F(0))
+    if inst.budget - spent != F(1, 4):
         problems.append(f"rule_x remaining budget {inst.budget - spent}")
-
-    return _item(
-        "rules-walkthrough",
-        not problems,
-        "; ".join(problems) or "phragmen/pav/rule_x all as documented",
-    )
+    return problems
 
 
-def _check_pjr_witness():
-    inst = get_fixture("cardinal_quartet")
-    verdict = check_pjr(inst, {"c2", "c3"})
-    problems = []
-    if verdict.satisfied:
-        problems.append("pjr reported satisfied")
-    else:
-        w = verdict.witness
-        if w.group != frozenset({"v1", "v2"}) or w.target != frozenset({"c1"}):
-            problems.append(f"witness ({sorted(w.group)}, {sorted(w.target)})")
-    # The documented threshold assignment alpha(c1)=7/10 and comparison
-    # 3/5 < 7/10 must validate independently of the returned witness.
-    stated = CohesivenessWitness(
-        frozenset({"v1", "v2"}), frozenset({"c1"}), {"c1": Fraction(7, 10)}
-    )
-    if not validate_cohesiveness_witness(inst, stated):
-        problems.append("stated witness not cohesive")
-    covered = sum(
-        (
-            max(inst.utilities[v][c] for v in stated.group)
-            for c in frozenset({"c2", "c3"})
-        ),
-        Fraction(0),
-    )
-    if not (covered == Fraction(3, 5) < Fraction(7, 10)):
-        problems.append(f"comparison {covered} vs 7/10")
-    return _item(
-        "pjr-violation-witness", not problems, "; ".join(problems) or "3/5 < 7/10"
-    )
-
-
-def _check_laminar_split():
-    inst = get_fixture("split_ten")
-    problems = []
-    try:
-        root = recognize_laminar(inst)
-    except Exception as exc:  # pragma: no cover - failure reporting only
-        return _item("laminar-recognition-split", False, f"not recognized: {exc}")
+def _split_ten_tree(inst):
+    root = recognize_laminar(inst)
     if not isinstance(root, UnanimousProject) or root.project != "c6":
-        problems.append("root is not the unanimous project c6")
-    else:
-        child = root.child
-        if not isinstance(child, Split):
-            problems.append("child is not a split")
-        else:
-            budgets = sorted([child.left.budget, child.right.budget])
-            sizes = sorted([len(child.left.voters), len(child.right.voters)])
-            if budgets != [Fraction(3), Fraction(6)] or sizes != [1, 2]:
-                problems.append(f"split budgets {budgets}, sizes {sizes}")
-            elif (
-                len(child.left.voters) * child.right.budget
-                != len(child.right.voters) * child.left.budget
-            ):
-                problems.append("split is not proportional")
-    verdict = is_laminar_proportional(inst, {"c1", "c2", "c4", "c6"})
-    if not verdict.satisfied:
-        problems.append("documented bundle not laminar proportional")
-    return _item(
-        "laminar-recognition-split",
-        not problems,
-        "; ".join(problems) or "split 2*3 = 1*6",
-    )
+        return ["root is not the unanimous project c6"]
+    if not isinstance(root.child, Split):
+        return ["child is not a split"]
+    left, right = root.child.left, root.child.right
+    budgets = sorted([left.budget, right.budget])
+    sizes = sorted([len(left.voters), len(right.voters)])
+    if budgets != [3, 6] or sizes != [1, 2]:
+        return [f"split budgets {budgets}, sizes {sizes}"]
+    if len(left.voters) * right.budget != len(right.voters) * left.budget:
+        return ["split is not proportional"]
+    return []
 
 
-def _check_cheap_fill():
-    inst = get_fixture("cheap_fill")
-    expected = frozenset({"c1", "c2", "c3", "c4", "c5"})
-    problems = []
-    winners, _ = phragmen(inst)
-    if winners != expected:
-        problems.append(f"phragmen returned {sorted(winners)}")
-    x_winners, _ = rule_x(inst)
-    if x_winners != expected:
-        problems.append(f"rule_x returned {sorted(x_winners)}")
-    if is_laminar_proportional(inst, expected).satisfied:
-        problems.append("bundle wrongly laminar proportional")
-    return _item(
-        "rules-skip-unanimous-project",
-        not problems,
-        "; ".join(problems) or "both rules fill with cheap projects",
-    )
+@dataclass(frozen=True)
+class Row:
+    name: str
+    fixture: str
+    detail: str  # the text of the pass line
+    bundle: frozenset = frozenset()
+    winners: dict = field(default_factory=dict)  # rule -> its winning bundle
+    verdicts: dict = field(default_factory=dict)  # axiom id -> satisfied
+    witnesses: dict = field(default_factory=dict)  # axiom id -> (group, target)
+    # (group, alpha, covered, required): a cohesive group whose best-covered
+    # utility in the bundle falls short of its alpha total, both stated exactly
+    cohesive: tuple = ()
+    extra: Optional[Callable] = None  # instance -> list of problems
 
 
-def _check_unit_split():
-    inst = get_fixture("unit_split")
-    w = frozenset({"c1", "c2", "c3", "c4"})
-    problems = []
-    for name, verdict in [
-        ("pjr", check_pjr(inst, w)),
-        ("ejr", check_ejr(inst, w)),
-        ("core", check_core(inst, w)),
-    ]:
-        if not verdict.satisfied:
-            problems.append(f"{name} violated")
-    if check_priceable(inst, w).satisfied:
-        problems.append("priceable wrongly satisfied")
-    if is_laminar_proportional(inst, w).satisfied:
-        problems.append("laminar proportional wrongly satisfied")
-    return _item(
-        "representative-but-unpriceable",
-        not problems,
-        "; ".join(problems) or "pjr/ejr/core hold, priceability fails",
-    )
+CHEAP_FILL = frozenset({"c1", "c2", "c3", "c4", "c5"})
+
+TABLE = (
+    Row("rules-walkthrough", "cardinal_quartet",
+        "phragmen/pav/rule_x all as documented", extra=_rules_walkthrough),
+    Row("pjr-violation-witness", "cardinal_quartet", "3/5 < 7/10",
+        bundle=frozenset({"c2", "c3"}), verdicts={"pjr": False},
+        witnesses={"pjr": ({"v1", "v2"}, {"c1"})},
+        cohesive=({"v1", "v2"}, {"c1": F(7, 10)}, F(3, 5), F(7, 10))),
+    Row("laminar-recognition-split", "split_ten", "split 2*3 = 1*6",
+        bundle=frozenset({"c1", "c2", "c4", "c6"}), verdicts={"laminarprop": True},
+        extra=_split_ten_tree),
+    Row("rules-skip-unanimous-project", "cheap_fill",
+        "both rules fill with cheap projects", bundle=CHEAP_FILL,
+        winners={"phragmen": CHEAP_FILL, "rulex": CHEAP_FILL},
+        verdicts={"laminarprop": False}),
+    Row("representative-but-unpriceable", "unit_split",
+        "pjr/ejr/core hold, priceability fails",
+        bundle=frozenset({"c1", "c2", "c3", "c4"}),
+        verdicts={"pjr": True, "ejr": True, "core": True, "priceable": False,
+                  "laminarprop": False}),
+    Row("priceable-but-not-pjr", "two_camps", "3/5 < 4/5",
+        bundle=frozenset({"t2", "c1", "c2", "c3"}),
+        verdicts={"priceable": True, "pjr": False},
+        cohesive=({"s1", "s2"}, {"t1": F(2, 5), "t2": F(2, 5)}, F(3, 5), F(4, 5))),
+    Row("core-blocked-by-cheap-stack", "tall_stack",
+        "blocking pair fails u-affordability", bundle=tall_stack_bundle(),
+        verdicts={"core": False, "coreuafford": True, "laminarprop": True},
+        witnesses={"core": ({"v1", "v2", "v3"}, {f"t{i}" for i in range(1, 9)})}),
+    Row("priceable-but-not-ejr", "common_tail",
+        "personal projects shadow the shared tail",
+        bundle=frozenset({"c1", "c2", "c3"}),
+        verdicts={"priceable": True, "ejr": False, "core": False}),
+)
 
 
-def _check_two_camps():
-    inst = get_fixture("two_camps")
-    w = frozenset({"t2", "c1", "c2", "c3"})
-    problems = []
-    verdict = check_priceable(inst, w)
-    if not verdict.satisfied:
-        problems.append("priceable violated")
-    else:
-        report = validate_price_system(inst, w, verdict.certificate)
-        if not report.ok:
-            problems.append(f"certificate invalid: {report.problems}")
-    pjr = check_pjr(inst, w)
-    if pjr.satisfied:
-        problems.append("pjr wrongly satisfied")
-    # The documented group {s1,s2} with alpha = 2/5 on both shared projects
-    # yields required total 4/5 against covered utility 3/5.
-    stated = CohesivenessWitness(
-        frozenset({"s1", "s2"}),
-        frozenset({"t1", "t2"}),
-        {"t1": Fraction(2, 5), "t2": Fraction(2, 5)},
-    )
-    if not validate_cohesiveness_witness(inst, stated):
-        problems.append("stated witness not cohesive")
-    covered = sum(
-        (max(inst.utilities[v][c] for v in stated.group) for c in w),
-        Fraction(0),
-    )
-    if not (covered == Fraction(3, 5) < stated.sum_alpha() == Fraction(4, 5)):
-        problems.append(f"comparison {covered} vs {stated.sum_alpha()}")
-    return _item(
-        "priceable-but-not-pjr", not problems, "; ".join(problems) or "3/5 < 4/5"
-    )
-
-
-def _check_tall_stack():
-    inst = get_fixture("tall_stack")
-    w = tall_stack_bundle()
-    problems = []
-    verdict = check_core(inst, w)
-    if verdict.satisfied:
-        problems.append("core wrongly satisfied")
-    else:
-        wit = verdict.witness
-        want_t = frozenset(f"t{i}" for i in range(1, 9))
-        if wit.group != frozenset({"v1", "v2", "v3"}) or wit.target != want_t:
-            problems.append(f"witness ({sorted(wit.group)}, {sorted(wit.target)})")
-    if not check_core_u_afford(inst, w).satisfied:
-        problems.append("restricted core violated")
-    if not is_laminar_proportional(inst, w).satisfied:
-        problems.append("not laminar proportional")
-    return _item(
-        "core-blocked-by-cheap-stack",
-        not problems,
-        "; ".join(problems) or "blocking pair fails u-affordability",
-    )
-
-
-def _check_common_tail():
-    inst = get_fixture("common_tail")
-    w = frozenset({"c1", "c2", "c3"})
-    problems = []
-    if not check_priceable(inst, w).satisfied:
-        problems.append("priceable violated")
-    if check_ejr(inst, w).satisfied:
-        problems.append("ejr wrongly satisfied")
-    if check_core(inst, w).satisfied:
-        problems.append("core wrongly satisfied")
-    return _item(
-        "priceable-but-not-ejr",
-        not problems,
-        "; ".join(problems) or "personal projects shadow the shared tail",
-    )
-
-
-ITEMS = [
-    _check_rules_walkthrough,
-    _check_pjr_witness,
-    _check_laminar_split,
-    _check_cheap_fill,
-    _check_unit_split,
-    _check_two_camps,
-    _check_tall_stack,
-    _check_common_tail,
-]
+def _problems(row):
+    inst, bundle = get_fixture(row.fixture), row.bundle
+    problems = row.extra(inst) if row.extra else []
+    for rule, want in row.winners.items():
+        winners = RULES[rule](inst)[0]
+        if winners != want:
+            problems.append(f"{rule} returned {sorted(winners)}")
+    for axiom, want in row.verdicts.items():
+        verdict = MAIN_CHECKERS[axiom](inst, bundle)
+        if verdict.satisfied != want:
+            wrong = "wrongly satisfied" if verdict.satisfied else "violated"
+            problems.append(f"{axiom} {wrong}")
+            continue
+        if axiom in row.witnesses:
+            w = verdict.witness
+            if (w.group, w.target) != row.witnesses[axiom]:
+                problems.append(
+                    f"{axiom} witness ({sorted(w.group)}, {sorted(w.target)})"
+                )
+        if isinstance(verdict.certificate, PriceSystem):
+            report = validate_price_system(inst, bundle, verdict.certificate)
+            if not report.ok:
+                problems.append(f"{axiom} certificate invalid: {report.problems}")
+    if row.cohesive:
+        group, alpha, covered_want, required_want = row.cohesive
+        stated = CohesivenessWitness(frozenset(group), frozenset(alpha), alpha)
+        if not validate_cohesiveness_witness(inst, stated):
+            problems.append("stated witness not cohesive")
+        covered = sum(
+            (max(inst.utilities[v][c] for v in group) for c in bundle), F(0)
+        )
+        required = stated.sum_alpha()
+        if not (covered == covered_want < required == required_want):
+            problems.append(f"comparison {covered} vs {required}")
+    return problems
 
 
 def run_verification() -> list:
-    return [f() for f in ITEMS]
+    items = []
+    for row in TABLE:
+        problems = _problems(row)
+        detail = "; ".join(problems) or row.detail
+        items.append(VerifyItem(row.name, not problems, detail))
+    return items

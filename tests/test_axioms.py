@@ -217,9 +217,9 @@ def test_phragmen_trace_to_price_system():
 
 
 def test_enumeration_cap(monkeypatch):
-    from pbprop import axioms
+    from pbprop import config
 
-    monkeypatch.setattr(axioms, "ENUM_MAX_BITS", 2)
+    monkeypatch.setattr(config, "ENUM_MAX_BITS", 2)
     with pytest.raises(EnumerationCapError):
         check_core(get_fixture("unit_split"), set())
 

@@ -1,5 +1,6 @@
 """File formats and the command-line front end."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -16,13 +17,16 @@ from pbprop import (
     serialize_instance,
 )
 import pbprop
-from pbprop import axioms, linsolve  # modules whose caps the tests lower
+from pbprop import config  # the caps module the tests lower
+from pbprop import verify
+from pbprop.axioms import SATISFIED, VIOLATED, PriceSystem
 from pbprop.cli import build_parser, main
-from pbprop.fixtures import FIXTURES, get_fixture
+from pbprop.fixtures import FIXTURES, get_fixture, tall_stack_bundle
 from pbprop.io import FormatError, load_instance
 from pbprop.laminar import generate_laminar
+from pbprop.registry import MAIN_CHECKERS
 
-INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+INSTANCES = Path(pbprop.__file__).resolve().parent / "instances"
 
 MINIMAL = """
 {
@@ -86,6 +90,11 @@ def test_fixtures_round_trip():
         inst = get_fixture(name)
         again = parse_instance(serialize_instance(inst))
         assert again == inst, name
+        shipped = (INSTANCES / f"{name}.json").read_text(encoding="utf-8")
+        assert serialize_instance(inst) == shipped, name
+    assert sorted(p.stem for p in INSTANCES.glob("*.json")) == sorted(FIXTURES)
+    with pytest.raises(KeyError, match="unknown fixture"):
+        get_fixture("no_such_fixture")
 
 
 @settings(max_examples=40, deadline=None)
@@ -225,7 +234,7 @@ def test_cli_priceable_certificate_lines_are_pinned(capsys):
 
 
 def test_cli_lp_cap_exits_2(monkeypatch, capsys):
-    monkeypatch.setattr(linsolve, "MAX_VARIABLES", 2)
+    monkeypatch.setattr(config, "LP_MAX_VARS", 2)
     two_camps = str(INSTANCES / "two_camps.json")
     assert main(["check", "priceable", two_camps, "--bundle", "c1,c2,c3"]) == 2
     err = capsys.readouterr().err
@@ -233,7 +242,7 @@ def test_cli_lp_cap_exits_2(monkeypatch, capsys):
 
 
 def test_cli_enumeration_cap_exits_2(monkeypatch, capsys):
-    monkeypatch.setattr(axioms, "ENUM_MAX_BITS", 2)
+    monkeypatch.setattr(config, "ENUM_MAX_BITS", 2)
     two_camps = str(INSTANCES / "two_camps.json")
     assert main(["check", "ejr", two_camps, "--bundle", "c1,c2"]) == 2
     out, err = capsys.readouterr()
@@ -273,7 +282,7 @@ def test_cli_main_leaves_no_cyclic_garbage(capsys):
     assert build_parser().parse_args(argv).axiom == "ejr"
 
 
-def test_python_m_pbprop_runs_the_cli():
+def _python_m_pbprop(*argv, **environ):
     import os
     import subprocess
     import sys
@@ -281,12 +290,28 @@ def test_python_m_pbprop_runs_the_cli():
     src = str(Path(pbprop.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    done = subprocess.run(
-        [sys.executable, "-m", "pbprop", "paper-verify"],
-        env=env, capture_output=True, text=True, timeout=300,
+    return subprocess.run(
+        [sys.executable, "-m", "pbprop", *argv],
+        env=env | environ, capture_output=True, text=True, timeout=300,
     )
+
+
+def test_python_m_pbprop_runs_the_cli():
+    done = _python_m_pbprop("paper-verify")
     assert done.returncode == 0, done.stderr
-    assert "8/8 fixtures pass" in done.stdout
+    assert done.stdout == PAPER_VERIFY
+
+
+@pytest.mark.parametrize("argv, var, value", [
+    (["paper-verify"], "PBPROP_ENUM_MAX_BITS", "abc"),
+    (["paper-verify"], "PBPROP_PAV_MAX_PROJECTS", "-1"),
+    (["search", "--assume", "pjr", "--conclude", "ejr"], "PBPROP_ENUM_MAX_BITS", "1.5"),
+])
+def test_cli_bad_cap_value_exits_2(argv, var, value):
+    done = _python_m_pbprop(*argv, **{var: value})
+    assert (done.returncode, done.stdout) == (2, "")
+    want = f"error: {var} must be a non-negative integer, not {value!r}\n"
+    assert done.stderr == want
 
 
 def test_cli_laminar_cap_is_not_a_verdict(tmp_path, capsys):
@@ -348,7 +373,106 @@ def test_cli_reports_are_deterministic(quartet_file, capsys):
     assert capsys.readouterr().out == first
 
 
+PAPER_VERIFY = f"""\
+pbprop report v1 (tool {pbprop.__version__})
+rules-walkthrough               pass  phragmen/pav/rule_x all as documented
+pjr-violation-witness           pass  3/5 < 7/10
+laminar-recognition-split       pass  split 2*3 = 1*6
+rules-skip-unanimous-project    pass  both rules fill with cheap projects
+representative-but-unpriceable  pass  pjr/ejr/core hold, priceability fails
+priceable-but-not-pjr           pass  3/5 < 4/5
+core-blocked-by-cheap-stack     pass  blocking pair fails u-affordability
+priceable-but-not-ejr           pass  personal projects shadow the shared tail
+8/8 fixtures pass
+"""
+
+
 def test_cli_paper_verify(capsys):
     assert main(["paper-verify"]) == 0
     out = capsys.readouterr().out
-    assert "8/8 fixtures pass" in out
+    assert out == PAPER_VERIFY
+
+
+def _edit_verdict(axiom, bundle, **changes):
+    """Replace fields of one checker's verdict on one bundle only."""
+    def patch(monkeypatch):
+        real = MAIN_CHECKERS[axiom]
+
+        def edited(inst, w):
+            verdict = real(inst, w)
+            if frozenset(w) != bundle:
+                return verdict
+            return dataclasses.replace(verdict, **{
+                k: change(verdict) for k, change in changes.items()})
+
+        monkeypatch.setitem(MAIN_CHECKERS, axiom, edited)
+    return patch
+
+
+def _flipped(verdict):
+    return VIOLATED if verdict.satisfied else SATISFIED
+
+
+def _edit_row(name, **changes):
+    """Change what one row of the table expects."""
+    def patch(monkeypatch):
+        table = tuple(
+            dataclasses.replace(r, **changes) if r.name == name else r
+            for r in verify.TABLE
+        )
+        monkeypatch.setattr(verify, "TABLE", table)
+    return patch
+
+
+def _recognize_child(monkeypatch):
+    real = verify.recognize_laminar
+    monkeypatch.setattr(verify, "recognize_laminar", lambda inst: real(inst).child)
+
+
+MUTATIONS = [
+    ("rules-walkthrough", lambda mp: mp.setattr(
+        verify, "pav", lambda inst: (frozenset({"c1", "c4"}), Fraction(7, 2)))),
+    ("pjr-violation-witness", _edit_verdict(
+        "pjr", frozenset({"c2", "c3"}),
+        witness=lambda v: dataclasses.replace(v.witness, group=frozenset({"v1"})))),
+    ("pjr-violation-witness", _edit_row(
+        "pjr-violation-witness",
+        cohesive=({"v1", "v2"}, {"c1": Fraction(7, 10)}, Fraction(3, 5),
+                  Fraction(3, 4)))),
+    ("pjr-violation-witness", _edit_row(  # v2 rates c1 at 7/10, below alpha
+        "pjr-violation-witness",
+        cohesive=({"v1", "v2"}, {"c1": Fraction(4, 5)}, Fraction(3, 5),
+                  Fraction(4, 5)))),
+    ("laminar-recognition-split", _recognize_child),
+    ("rules-skip-unanimous-project", lambda mp: mp.setitem(
+        verify.RULES, "rulex", lambda inst: (frozenset({"c6"}), None))),
+    ("representative-but-unpriceable",
+     _edit_verdict("ejr", frozenset({"c1", "c2", "c3", "c4"}), status=_flipped)),
+    ("priceable-but-not-pjr", _edit_verdict(
+        "priceable", frozenset({"t2", "c1", "c2", "c3"}),
+        certificate=lambda v: PriceSystem(Fraction(-1), v.certificate.payments))),
+    ("priceable-but-not-pjr", _edit_row(
+        "priceable-but-not-pjr",
+        cohesive=({"s1", "s2"}, {"t1": Fraction(2, 5), "t2": Fraction(2, 5)},
+                  Fraction(1, 2), Fraction(4, 5)))),
+    ("core-blocked-by-cheap-stack", _edit_verdict(
+        "core", tall_stack_bundle(),
+        witness=lambda v: dataclasses.replace(v.witness, target=frozenset({"c"})))),
+    ("priceable-but-not-ejr",
+     _edit_verdict("priceable", frozenset({"c1", "c2", "c3"}), status=_flipped)),
+]
+
+
+@pytest.mark.parametrize(
+    "item, mutate", MUTATIONS, ids=[f"{n}-{i}" for i, (n, _) in enumerate(MUTATIONS)]
+)
+def test_paper_verify_fails_exactly_the_mutated_item(item, mutate, monkeypatch, capsys):
+    mutate(monkeypatch)
+    assert main(["paper-verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines if "  FAIL  " in line] == [item]
+    assert [line.split()[0] for line in lines if "  pass  " in line] == [
+        line.split()[0] for line in PAPER_VERIFY.splitlines()[1:-1]
+        if line.split()[0] != item
+    ]
+    assert lines[-1] == "7/8 fixtures pass"

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from pbprop import linsolve
+from pbprop import config
 from pbprop.linsolve import EQ, GEQ, LEQ, LinearSystem, ResourceLimitError, lp_feasible
 from pbprop.oracle import fm_feasible
 
@@ -86,7 +86,7 @@ def test_bad_relation_rejected():
 
 
 def test_variable_cap(monkeypatch):
-    monkeypatch.setattr(linsolve, "MAX_VARIABLES", 2)
+    monkeypatch.setattr(config, "LP_MAX_VARS", 2)
     sys_ = system(["a", "b", "c"], [({"a": 1}, LEQ, 0)])
     with pytest.raises(ResourceLimitError):
         lp_feasible(sys_)

@@ -102,9 +102,9 @@ def test_pav_collects_ties():
 
 
 def test_pav_project_cap(monkeypatch):
-    from pbprop import rules
+    from pbprop import config
 
-    monkeypatch.setattr(rules, "PAV_MAX_PROJECTS", 2)
+    monkeypatch.setattr(config, "PAV_MAX_PROJECTS", 2)
     with pytest.raises(EnumerationCapError):
         pav(quartet_approval())
 
