@@ -19,6 +19,7 @@ from .model import (
     CertificateError,
     EnumerationCapError,
     PBInstance,
+    PreconditionError,
     ValidationReport,
     _scaled,
     check_bundle,
@@ -187,12 +188,18 @@ def check_core(instance: PBInstance, bundle) -> AxiomVerdict:
     candidate S is exactly the set of strict preferrers, so T alone is
     enumerated."""
     _check_caps(instance)
-    bundle = check_bundle(instance, bundle)
+    return core_verdict(instance, check_bundle(instance, bundle))
+
+
+def core_verdict(instance, bundle, admits=lambda group, target: True):
+    """Violated by the first deviation of ``core_deviations`` that
+    ``admits`` lets through, with its witness re-checked; else Satisfied."""
     for group, target in core_deviations(instance, bundle):
-        witness = CoreWitness(group, target)
-        if not validate_core_witness(instance, bundle, witness):
-            raise CertificateError(f"core witness fails: {witness}")
-        return AxiomVerdict(VIOLATED, witness)
+        if admits(group, target):
+            witness = CoreWitness(group, target)
+            if not validate_core_witness(instance, bundle, witness):
+                raise CertificateError(f"core witness fails: {witness}")
+            return AxiomVerdict(VIOLATED, witness)
     return AxiomVerdict(SATISFIED)
 
 
@@ -330,7 +337,7 @@ def check_mwv_pjr(instance: PBInstance, bundle) -> AxiomVerdict:
     seeing s of them is denied the levels in (s, min(|inter|, |S| k / n)],
     so it violates iff s + 1, the level reported, lies in that interval."""
     if not instance.is_mwv:
-        raise ValueError("committee-style PJR requires an MWV instance")
+        raise PreconditionError("committee-style PJR requires an MWV instance")
     k = instance.committee_size()
     _check_caps(instance)
     bundle = check_bundle(instance, bundle)
@@ -355,7 +362,7 @@ def check_strong_bpjr(instance: PBInstance, bundle) -> AxiomVerdict:
     interval's upper end (|S| l / n <= l, so l never binds).
     """
     if not instance.is_approval:
-        raise ValueError("budget-limit PJR requires an approval instance")
+        raise PreconditionError("budget-limit PJR requires an approval instance")
     _check_caps(instance)
     bundle = check_bundle(instance, bundle)
     costs, share, unit = _mask_costs(instance)

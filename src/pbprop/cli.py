@@ -4,8 +4,8 @@ Subcommands: run (a voting rule), check (an axiom against a bundle),
 laminar (recognition + decomposition dump), gen (instance generators),
 search (randomized counterexample hunt), paper-verify (the built-in
 fixture suite).  Exit status: 0 success or Satisfied, 1 Violated (or not
-laminar), 2 usage error, malformed input or cap value, an instance over a
-size cap, or an instance the command is not defined on.
+laminar), 2 usage error, malformed input, an unmet precondition or an
+instance over a size cap, 3 a failed self-check (README, "CLI").
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .config import ConfigError
 from .axioms import (
     CohesivenessWitness,
     CommitteeWitness,
@@ -24,20 +23,18 @@ from .axioms import (
     PriceSystem,
     check_priceable,  # noqa: F401  perfbench --trace 1 wraps cli.check_priceable
 )
-from .io import FormatError, load_instance, serialize_instance
+from .io import load_instance, serialize_instance
 from .laminar import (
-    NotLaminarError,
     Split,
     UnanimousLeaf,
     UnanimousProject,
     generate_laminar,
     recognize_laminar,
 )
-from .linsolve import ResourceLimitError
-from .model import EnumerationCapError, as_fraction, binarize
+from .model import CapExceeded, CertificateError, binarize
 from .oracle import GeneratorSpec, random_instance, search_counterexample
 from .registry import MAIN_CHECKERS
-from .rules import NotApprovalError, pav, phragmen, rule_x
+from .rules import pav, phragmen, rule_x
 from .verify import run_verification
 
 RULES = ("phragmen", "pav", "rulex")
@@ -114,7 +111,7 @@ def _rule_lines(args, instance):
 def _cmd_run(args, out):
     instance = load_instance(args.file)
     if args.threshold is not None:
-        instance = binarize(instance, as_fraction(args.threshold))
+        instance = binarize(instance, args.threshold)
     lines = _rule_lines(args, instance)
     out.write(REPORT_HEADER + "\n")
     out.write(f"rule {args.rule} on {args.file}\n")
@@ -151,16 +148,11 @@ def _dump_tree(node, out, indent="  "):
 
 
 def _cmd_laminar(args, out):
-    instance = load_instance(args.file)
-    try:
-        root = recognize_laminar(instance)
-        if root is None:
-            raise NotLaminarError("instance is not laminar")
-    except NotLaminarError as exc:
-        out.write(REPORT_HEADER + "\n")
-        out.write(f"not laminar: {exc}\n")
-        return 1
+    root = recognize_laminar(load_instance(args.file))
     out.write(REPORT_HEADER + "\n")
+    if root is None:
+        out.write("not laminar: instance is not laminar\n")
+        return 1
     out.write(f"laminar instance {args.file}\n")
     _dump_tree(root, out)
     return 0
@@ -284,16 +276,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, sys.stdout)
-    except (
-        ConfigError,
-        FormatError,
-        OSError,
-        ValueError,
-        KeyError,
-        EnumerationCapError,
-        ResourceLimitError,
-        NotApprovalError,
-    ) as exc:
+    except CertificateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (CapExceeded, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import os
 
+from .model import InputError
+
 DEFAULTS = {
     "ENUM_MAX_BITS": 16,  # voter/project subset searches in the axiom checkers
     "LAMINAR_MAX_BITS": 16,  # laminar recognition and certification
@@ -20,9 +22,8 @@ DEFAULTS = {
 }
 
 
-class ConfigError(Exception):
-    """A cap's variable holds no non-negative integer. Not a ValueError, so
-    that no caller takes it for an unmet axiom precondition."""
+class ConfigError(InputError):
+    """A cap's variable holds no non-negative integer."""
 
 
 def __getattr__(name):

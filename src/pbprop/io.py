@@ -8,22 +8,28 @@ format (approval ballots only).
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
-from .model import ONE, PBInstance, as_fraction, validate
+from .model import ONE, InputError, PBInstance, as_fraction, validate
 
 
-class FormatError(Exception):
+class FormatError(InputError):
     """Input file does not match the expected schema."""
+
+
+def _rational(value, what, why=False):
+    """Every rational of a JSON or .pb file is read here; a bad one raises
+    FormatError("<what> <value!r>"), followed by the reason if ``why``."""
+    try:
+        return as_fraction(value)
+    except (ValueError, TypeError) as exc:
+        reason = f" ({exc})" if why else ""
+        raise FormatError(f"{what} {value!r}{reason}") from exc
 
 
 def _fraction_field(container, key, where):
     if key not in container:
         raise FormatError(f"{where}: missing {key!r}")
-    try:
-        return as_fraction(container[key])
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise FormatError(f"{where}: bad rational {container[key]!r} ({exc})") from exc
+    return _rational(container[key], f"{where}: bad rational", why=True)
 
 
 def parse_instance(text: str) -> PBInstance:
@@ -33,6 +39,9 @@ def parse_instance(text: str) -> PBInstance:
         raise FormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise FormatError("top level must be an object")
+    for key, kind in (("meta", dict), ("projects", list), ("voters", list)):
+        if not isinstance(data.get(key, kind()), kind):
+            raise FormatError(f"{key} must be {'an object' if kind is dict else 'a list'}")
     meta = data.get("meta", {})
     budget = _fraction_field(meta, "budget", "meta")
     description = meta.get("description", "")
@@ -82,32 +91,30 @@ def load_instance(path) -> PBInstance:
     return parse_instance(text)
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def serialize_instance(instance: PBInstance) -> str:
     data = {
         "meta": {
-            "budget": _frac_str(instance.budget),
+            "budget": str(instance.budget),
             "description": instance.description,
         },
         "projects": [
-            {"id": c, "cost": _frac_str(instance.cost[c])} for c in instance.projects
+            {"id": c, "cost": str(instance.cost[c])} for c in instance.projects
         ],
         "voters": [
             {
                 "id": v,
                 "utilities": {
-                    c: _frac_str(u)
-                    for c, u in instance.utilities[v].items()
-                    if u != 0
+                    c: str(u) for c, u in instance.utilities[v].items() if u != 0
                 },
             }
             for v in instance.voters
         ],
     }
     return json.dumps(data, indent=2, sort_keys=False) + "\n"
+
+
+# The fields a .pb section's header and each of its rows must have.
+_NEEDED = {"PROJECTS": ("project_id", "cost"), "VOTES": ("voter_id", "vote")}
 
 
 def _pb_row(header, fields, needed, lineno):
@@ -148,31 +155,22 @@ def parse_pabulib(text: str) -> PBInstance:
             if len(fields) < 2:
                 raise FormatError(f"line {lineno}: META rows need key;value")
             meta[fields[0]] = fields[1]
-        elif section == "PROJECTS":
-            if header is None:
-                header = fields
-                if "project_id" not in header or "cost" not in header:
-                    raise FormatError(
-                        f"line {lineno}: PROJECTS header needs project_id and cost"
-                    )
-                continue
-            row = _pb_row(header, fields, ("project_id", "cost"), lineno)
+            continue
+        needed = _NEEDED[section]
+        if header is None:
+            header = fields
+            if not all(key in header for key in needed):
+                raise FormatError(
+                    f"line {lineno}: {section} header needs {' and '.join(needed)}"
+                )
+            continue
+        row = _pb_row(header, fields, needed, lineno)
+        if section == "PROJECTS":
             pid = row["project_id"]
             if pid in cost:
                 raise FormatError(f"line {lineno}: duplicate project id {pid!r}")
-            try:
-                cost[pid] = as_fraction(row["cost"])
-            except (ValueError, TypeError) as exc:
-                raise FormatError(f"line {lineno}: bad cost {row['cost']!r}") from exc
-        elif section == "VOTES":
-            if header is None:
-                header = fields
-                if "voter_id" not in header or "vote" not in header:
-                    raise FormatError(
-                        f"line {lineno}: VOTES header needs voter_id and vote"
-                    )
-                continue
-            row = _pb_row(header, fields, ("voter_id", "vote"), lineno)
+            cost[pid] = _rational(row["cost"], f"line {lineno}: bad cost")
+        else:
             vid = row["voter_id"]
             order.append(vid)
             votes[vid] = row["vote"]
@@ -181,10 +179,7 @@ def parse_pabulib(text: str) -> PBInstance:
         raise FormatError(f"only approval ballots are supported, not {vote_type!r}")
     if "budget" not in meta:
         raise FormatError("META has no budget")
-    try:
-        budget = as_fraction(meta["budget"])
-    except (ValueError, TypeError) as exc:
-        raise FormatError(f"bad budget {meta['budget']!r}") from exc
+    budget = _rational(meta["budget"], "bad budget")
     rows = {}  # vote string -> its row
     utilities = {}
     for vid in order:

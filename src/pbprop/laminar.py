@@ -17,23 +17,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, count, product
 
 from . import config
-from .axioms import (
-    SATISFIED,
-    VIOLATED,
-    AxiomVerdict,
-    CoreWitness,
-    PriceSystem,
-    core_deviations,
-    validate_core_witness,
-)
-from .model import CertificateError, EnumerationCapError, PBInstance, check_bundle
+from .axioms import SATISFIED, VIOLATED, AxiomVerdict, PriceSystem, core_verdict
+from .model import EnumerationCapError, PBInstance, PreconditionError, check_bundle
 
 
-class NotLaminarError(ValueError):
-    pass
+class NotLaminarError(PreconditionError):
+    """The instance (or bundle) has no laminar decomposition."""
 
 
 @dataclass(frozen=True)
@@ -102,7 +94,7 @@ def _slice_cases(instance):
     unanimous block with positive budget, so such a slice has no case.
     """
     if not instance.is_approval:
-        raise ValueError("laminar recognition requires an approval instance")
+        raise PreconditionError("laminar recognition requires an approval instance")
     cap = config.LAMINAR_MAX_BITS
     if len(instance.voters) > cap or len(instance.projects) > cap:
         raise EnumerationCapError("instance exceeds laminar-search caps")
@@ -179,36 +171,37 @@ def _laminar_root(instance):
     return root
 
 
+def _tree(cases, memo, s):
+    """The tree of the first case of slice s whose children are all
+    laminar, or None, memoized in memo; a case fails at its first
+    non-laminar child."""
+    if s not in memo:
+        found = None
+        for c, children in cases(s):
+            nodes = []
+            for t in children:
+                nodes.append(_tree(cases, memo, t))
+                if nodes[-1] is None:
+                    break
+            else:
+                if not children:
+                    found = UnanimousLeaf(*s)
+                elif c is None:
+                    found = Split(*nodes, *s)
+                else:
+                    found = UnanimousProject(c, *nodes, *s)
+                break
+        memo[s] = found
+    return memo[s]
+
+
 def recognize_laminar(instance: PBInstance):
     """Return a certification tree, or None when the instance is not laminar.
 
     Takes the first case of each slice whose children are all laminar.
     """
     root, cases = _slice_cases(instance)
-    memo = {}
-
-    def tree(s, c, children):
-        nodes = []
-        for t in children:
-            nodes.append(rec(t))
-            if nodes[-1] is None:
-                return None
-        if not children:
-            return UnanimousLeaf(*s)
-        if c is None:
-            return Split(*nodes, *s)
-        return UnanimousProject(c, *nodes, *s)
-
-    def rec(s):
-        if s not in memo:
-            trees = (tree(s, *case) for case in cases(s))
-            memo[s] = next((t for t in trees if t is not None), None)
-        return memo[s]
-
-    try:
-        return None if root is None else rec(root)
-    finally:
-        del rec, tree  # the closures hold each other through their cells
+    return None if root is None else _tree(cases, {}, root)
 
 
 def is_laminar_proportional(instance: PBInstance, bundle) -> AxiomVerdict:
@@ -228,33 +221,46 @@ def is_laminar_proportional(instance: PBInstance, bundle) -> AxiomVerdict:
     return AxiomVerdict(VIOLATED, witness="no decomposition certifies the bundle")
 
 
+def _bundles(instance, cases, memo, s):
+    """Every bundle that some case of slice s certifies, memoized in memo."""
+    if s not in memo:
+        out = set()
+        for c, children in cases(s):
+            if children:
+                head = frozenset() if c is None else frozenset([c])
+                parts = [_bundles(instance, cases, memo, t) for t in children]
+                out.update(head.union(*ws) for ws in product(*parts))
+            else:
+                for r in range(len(s[1]) + 1):
+                    leaf = map(frozenset, combinations(sorted(s[1]), r))
+                    out.update(w for w in leaf if _fills_leaf(instance, s, w))
+        memo[s] = out
+    return memo[s]
+
+
 def laminar_bundles(instance: PBInstance):
     """All bundles certified laminar proportional, in canonical order: the
     union over every case of every slice."""
     root, cases = _slice_cases(instance)
-    memo = {}
-
-    def enum(s):
-        if s not in memo:
-            out = set()
-            for c, children in cases(s):
-                if children:
-                    head = frozenset() if c is None else frozenset([c])
-                    out.update(head.union(*ws) for ws in product(*map(enum, children)))
-                else:
-                    for r in range(len(s[1]) + 1):
-                        leaf = map(frozenset, combinations(sorted(s[1]), r))
-                        out.update(w for w in leaf if _fills_leaf(instance, s, w))
-            memo[s] = out
-        return memo[s]
-
-    try:
-        bundles = set() if root is None else enum(root)
-    finally:
-        del enum  # the closure holds itself through its cell
+    bundles = set() if root is None else _bundles(instance, cases, {}, root)
     if not bundles:
         _laminar_root(instance)
     yield from sorted(bundles, key=lambda w: tuple(sorted(w)))
+
+
+def _payments(instance, cases, memo, s, w):
+    """Payments of slice s's voters for w along its first certifying case."""
+    voters = s[0]
+    c, children = _certifying(instance, cases, memo, s, w)
+    if not children:
+        return {v: {d: instance.cost[d] / len(voters) for d in w} for v in voters}
+    payments = {}
+    for t in children:
+        payments.update(_payments(instance, cases, memo, t, w & t[1]))
+    if c is not None:
+        for v in voters:
+            payments.setdefault(v, {})[c] = instance.cost[c] / len(voters)
+    return payments
 
 
 def laminar_price_system(instance: PBInstance, bundle):
@@ -266,27 +272,10 @@ def laminar_price_system(instance: PBInstance, bundle):
     bundle = check_bundle(instance, bundle)
     root, cases = _slice_cases(instance)
     memo = {}
-
-    def build(s, w):
-        voters = s[0]
-        c, children = _certifying(instance, cases, memo, s, w)
-        if not children:
-            return {v: {d: instance.cost[d] / len(voters) for d in w} for v in voters}
-        payments = {}
-        for t in children:
-            payments.update(build(t, w & t[1]))
-        if c is not None:
-            for v in voters:
-                payments.setdefault(v, {})[c] = instance.cost[c] / len(voters)
-        return payments
-
-    try:
-        if root is None or not _certifying(instance, cases, memo, root, bundle):
-            _laminar_root(instance)
-            raise NotLaminarError("bundle is not laminar proportional")
-        payments = build(root, bundle)
-    finally:
-        del build  # the closure holds itself through its cell
+    if root is None or not _certifying(instance, cases, memo, root, bundle):
+        _laminar_root(instance)
+        raise NotLaminarError("bundle is not laminar proportional")
+    payments = _payments(instance, cases, memo, root, bundle)
     for v in instance.voters:
         payments.setdefault(v, {})
     return PriceSystem(instance.cost_of(bundle), payments)
@@ -329,24 +318,41 @@ def check_core_u_afford(instance: PBInstance, bundle) -> AxiomVerdict:
     the unanimous projects scoped to the deviating group's branch."""
     bundle = check_bundle(instance, bundle)
     root = _laminar_root(instance)
-    pools = {}
+    pools = {}  # group -> its unanimity pool
 
-    def pool_for(group):
-        if group not in pools:
-            pools[group] = unanimous_pool(root, set(group))
-        return pools[group]
-
-    for group, target in core_deviations(instance, bundle):
+    def u_affordable(group, target):
         # Only the full set of strict preferrers needs testing: shrinking
         # the group pushes it deeper into the decomposition, which only
         # grows its unanimity pool and so only tightens u-affordability,
         # while also shrinking the group's budget share.
-        if is_u_affordable(instance, target, pool_for(group)):
-            witness = CoreWitness(group, target)
-            if not validate_core_witness(instance, bundle, witness):
-                raise CertificateError(f"core witness fails: {witness}")
-            return AxiomVerdict(VIOLATED, witness)
-    return AxiomVerdict(SATISFIED)
+        if group not in pools:
+            pools[group] = unanimous_pool(root, set(group))
+        return is_u_affordable(instance, target, pools[group])
+
+    return core_verdict(instance, bundle, u_affordable)
+
+
+def _fresh_ids():
+    """A function that names new voters and projects in order of creation:
+    fresh("v") gives v001, v002, ... and fresh("p") p001, p002, ..."""
+    counters = {"v": count(1), "p": count(1)}
+    return lambda kind: f"{kind}{next(counters[kind]):03d}"
+
+
+def _approval_instance(approvals, cost, budget, description):
+    """The instance whose voter v approves exactly approvals[v], with the
+    projects of cost in their order."""
+    utilities = {
+        v: {c: 1 if c in a else 0 for c in cost} for v, a in approvals.items()
+    }
+    return PBInstance.build(
+        voters=list(approvals),
+        projects=list(cost),
+        cost=cost,
+        utilities=utilities,
+        budget=budget,
+        description=description,
+    )
 
 
 def generate_laminar(
@@ -366,11 +372,7 @@ def generate_laminar(
     if max_depth < 0 or max_leaf_voters < 1 or max_leaf_projects < 1:
         raise ValueError("unsatisfiable generator parameters")
     rng = random.Random(f"laminar:{seed}")
-    counter = {"v": 0, "p": 0}
-
-    def fresh(kind):
-        counter[kind] += 1
-        return f"{kind}{counter[kind]:03d}"
+    fresh = _fresh_ids()
 
     def gen_leaf(share):
         nv = rng.randint(1, max_leaf_voters)
@@ -409,16 +411,8 @@ def generate_laminar(
 
     share = Fraction(rng.randint(1, 6), rng.randint(1, 4))
     approvals, projects, budget = gen(share, max_depth)
-    utilities = {
-        v: {c: 1 if c in a else 0 for c in projects} for v, a in approvals.items()
-    }
-    return PBInstance.build(
-        voters=list(approvals),
-        projects=list(projects),
-        cost=projects,
-        utilities=utilities,
-        budget=budget,
-        description=f"generated laminar instance (seed {seed})",
+    return _approval_instance(
+        approvals, projects, budget, f"generated laminar instance (seed {seed})"
     )
 
 
@@ -429,11 +423,7 @@ def generate_laminar_mwv(seed, max_depth=2, max_leaf_voters=3) -> PBInstance:
     if max_depth < 0 or max_leaf_voters < 1:
         raise ValueError("unsatisfiable generator parameters")
     rng = random.Random(f"mwv:{seed}")
-    counter = {"v": 0, "p": 0}
-
-    def fresh(kind):
-        counter[kind] += 1
-        return f"{kind}{counter[kind]:03d}"
+    fresh = _fresh_ids()
 
     def gen_leaf():
         nv = rng.randint(1, max_leaf_voters)
@@ -457,14 +447,9 @@ def generate_laminar_mwv(seed, max_depth=2, max_leaf_voters=3) -> PBInstance:
         for v in approvals:
             approvals[v].add(c)
         k += 1
-    utilities = {
-        v: {c: 1 if c in a else 0 for c in projects} for v, a in approvals.items()
-    }
-    return PBInstance.build(
-        voters=list(approvals),
-        projects=projects,
-        cost={c: Fraction(1) for c in projects},
-        utilities=utilities,
-        budget=Fraction(k),
-        description=f"generated laminar committee instance (seed {seed})",
+    return _approval_instance(
+        approvals,
+        dict.fromkeys(projects, Fraction(1)),
+        Fraction(k),
+        f"generated laminar committee instance (seed {seed})",
     )

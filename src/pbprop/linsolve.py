@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import config
-from .model import CertificateError
+from .model import CapExceeded, CertificateError
 
 LEQ = "<="
 EQ = "=="
@@ -46,7 +46,7 @@ GEQ = ">="
 _RELATIONS = (LEQ, EQ, GEQ)
 
 
-class ResourceLimitError(Exception):
+class ResourceLimitError(CapExceeded):
     """Variable or constraint count exceeds the configured cap."""
 
 

@@ -18,12 +18,29 @@ ZERO = Fraction(0)  # shared by every omitted utility entry
 ONE = Fraction(1)  # shared by every approval of a .pb or binarized ballot
 
 
-class EnumerationCapError(Exception):
-    """An exhaustive search would exceed its configured size cap."""
+# The four kinds of error, each with one CLI exit status (README, "CLI");
+# every module-specific error class subclasses one of them.
+
+
+class InputError(ValueError):
+    """Malformed input: a file, a rational, a cap's value. Exit status 2."""
+
+
+class PreconditionError(ValueError):
+    """The rule or axiom is not defined on this instance. Exit status 2."""
+
+
+class CapExceeded(Exception):
+    """The work would exceed a configured size cap. Exit status 2. Not a
+    ValueError, so no caller takes it for an unmet precondition."""
 
 
 class CertificateError(Exception):
-    """A computed witness or certificate failed its independent re-check."""
+    """A witness or certificate failed its independent re-check. Exit status 3."""
+
+
+class EnumerationCapError(CapExceeded):
+    """An exhaustive search would exceed its configured size cap."""
 
 
 def as_fraction(value) -> Fraction:
@@ -32,7 +49,10 @@ def as_fraction(value) -> Fraction:
         return value
     if isinstance(value, float):
         raise TypeError("refusing to convert a binary float; pass a string")
-    return Fraction(str(value))
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _scaled(values):
@@ -101,11 +121,13 @@ class PBInstance:
     def committee_size(self) -> int:
         """Budget expressed in unit costs; only meaningful on MWV instances."""
         if not self.is_mwv:
-            raise ValueError("not an MWV instance")
+            raise PreconditionError("not an MWV instance")
         unit = self.cost[self.projects[0]]
         k = self.budget / unit
         if k.denominator != 1 or k <= 0:
-            raise ValueError(f"budget / unit cost = {k} is not a positive integer")
+            raise PreconditionError(
+                f"budget / unit cost = {k} is not a positive integer"
+            )
         return int(k)
 
     def cost_of(self, bundle: Iterable) -> Fraction:
@@ -185,7 +207,7 @@ def binarize(instance: PBInstance, threshold) -> PBInstance:
     """Approval specialization: utility 1 iff input utility >= threshold."""
     threshold = as_fraction(threshold)
     if not 0 < threshold <= 1:
-        raise ValueError(f"threshold {threshold} outside (0, 1]")
+        raise InputError(f"threshold {threshold} outside (0, 1]")
     done = {}  # id(row) -> binarized row, so shared rows stay shared
     utilities = {}
     for v, row in instance.utilities.items():

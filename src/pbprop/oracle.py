@@ -18,11 +18,11 @@ from typing import Optional
 
 from . import config
 from .axioms import SATISFIED, VIOLATED, AxiomVerdict
-from .model import PBInstance, check_bundle
+from .model import CapExceeded, PBInstance, PreconditionError, check_bundle
 
 
-class OracleCapError(Exception):
-    pass
+class OracleCapError(CapExceeded):
+    """A brute-force oracle would exceed its size cap."""
 
 
 def _check_caps(instance):
@@ -448,7 +448,6 @@ def search_counterexample(
     conclude: str,
     trials: int,
     seed: int,
-    checkers: Optional[dict] = None,
 ) -> Optional[Counterexample]:
     """First sampled (instance, bundle) where ``assume`` holds but
     ``conclude`` fails; None after the trial budget.  Deterministic in the
@@ -456,19 +455,18 @@ def search_counterexample(
     first-witness contract."""
     from .registry import MAIN_CHECKERS
 
-    checkers = checkers or MAIN_CHECKERS
-    if assume not in checkers or conclude not in checkers:
+    if assume not in MAIN_CHECKERS or conclude not in MAIN_CHECKERS:
         raise ValueError(f"unknown axiom id in hypothesis: {assume!r} => {conclude!r}")
     for trial in range(trials):
         rng = random.Random(f"{seed}:{trial}")
         instance = random_instance(generator, rng)
         bundle = random_bundle(instance, rng)
         try:
-            if not checkers[assume](instance, bundle).satisfied:
+            if not MAIN_CHECKERS[assume](instance, bundle).satisfied:
                 continue
-            if checkers[conclude](instance, bundle).satisfied:
+            if MAIN_CHECKERS[conclude](instance, bundle).satisfied:
                 continue
-        except ValueError:
-            continue  # axiom precondition (e.g. MWV-only) not met
+        except PreconditionError:
+            continue  # e.g. an MWV-only axiom on a non-MWV draw
         return Counterexample(trial, instance, bundle)
     return None

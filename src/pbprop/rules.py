@@ -23,6 +23,7 @@ from .model import (
     CertificateError,
     EnumerationCapError,
     PBInstance,
+    PreconditionError,
     _scaled,
     check_bundle,
 )
@@ -31,7 +32,7 @@ STOP_BUDGET = "budget-exhausted"
 STOP_NO_PROJECT = "no-affordable-project"
 
 
-class NotApprovalError(Exception):
+class NotApprovalError(PreconditionError):
     """Rule requires an approval instance (all utilities 0/1)."""
 
 

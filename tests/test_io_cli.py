@@ -83,6 +83,25 @@ def test_parse_rejects_bad_input():
         parse_pabulib(PB_FILE.replace("q;1", "q"))
     with pytest.raises(FormatError):  # .pb: duplicate project id
         parse_pabulib(PB_FILE.replace("q;1", "q;1\np;9"))
+    for key, value, message in [
+        ("meta", '{"budget": "1"}', "meta must be an object"),
+        ("projects", '[{"id": "p", "cost": "1"}]', "projects must be a list"),
+        ("voters", '[{"id": "a"}]', "voters must be a list"),
+    ]:
+        good = '{"meta": {"budget": "1"}, "projects": [{"id": "p", "cost": "1"}],'
+        good += ' "voters": [{"id": "a"}]}'
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            parse_instance(good.replace(f'"{key}": {value}', f'"{key}": 5'))
+    with pytest.raises(FormatError, match=r"^bad budget '1/0'$"):
+        parse_pabulib(PB_FILE.replace("budget;2", "budget;1/0"))
+    with pytest.raises(FormatError, match=r"^line 9: bad cost '1/0'$"):
+        parse_pabulib(PB_FILE.replace("q;1", "q;1/0"))
+    with pytest.raises(FormatError, match=r"^line 9: bad cost 'abc'$"):
+        parse_pabulib(PB_FILE.replace("q;1", "q;abc"))
+    with pytest.raises(
+        FormatError, match=r"^meta: bad rational '1/0' \(Fraction\(1, 0\)\)$"
+    ):
+        parse_instance('{"meta": {"budget": "1/0"}}')
 
 
 def test_fixtures_round_trip():
@@ -312,6 +331,37 @@ def test_cli_bad_cap_value_exits_2(argv, var, value):
     assert (done.returncode, done.stdout) == (2, "")
     want = f"error: {var} must be a non-negative integer, not {value!r}\n"
     assert done.stderr == want
+
+
+def test_cli_malformed_input_exits_2_not_1(tmp_path):
+    """Each of these once ended in a traceback with exit status 1, the
+    status of a Violated verdict."""
+    json_text = '{"meta": {"budget": "1"}, "projects": [], "voters": []}'
+    runs = {
+        "budget.pb": (PB_FILE.replace("budget;2", "budget;1/0"), []),
+        "cost.pb": (PB_FILE.replace("q;1", "q;1/0"), []),
+        "meta.json": (json_text.replace('{"budget": "1"}', "5"), []),
+        "projects.json": (json_text.replace('"projects": []', '"projects": 5'), []),
+        "voters.json": (json_text.replace('"voters": []', '"voters": 5'), []),
+        "threshold.json": (MINIMAL, ["--threshold", "1/0"]),
+    }
+    for name, (text, flags) in runs.items():
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        done = _python_m_pbprop("run", "rulex", str(path), *flags)
+        assert (done.returncode, done.stdout) == (2, ""), (name, done.stderr)
+        assert done.stderr.startswith("error: ") and "\n" not in done.stderr[:-1]
+
+
+def test_cli_failed_self_check_exits_3(monkeypatch, capsys):
+    from pbprop import axioms
+
+    monkeypatch.setattr(axioms, "validate_core_witness", lambda *args: False)
+    common_tail = str(INSTANCES / "common_tail.json")
+    assert main(["check", "core", common_tail, "--bundle", "c1,c2,c3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: core witness fails: CoreWitness(")
 
 
 def test_cli_laminar_cap_is_not_a_verdict(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Data model: parsing, normalization, validation, binarization."""
 
 import ast
+import importlib
+import pkgutil
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +12,14 @@ from hypothesis import strategies as st
 
 import pbprop
 from pbprop import PBInstance, as_fraction, binarize, validate
-from pbprop.model import check_bundle
+from pbprop import model
+from pbprop.model import (
+    CapExceeded,
+    CertificateError,
+    InputError,
+    PreconditionError,
+    check_bundle,
+)
 
 
 def tiny():
@@ -32,6 +41,48 @@ def test_as_fraction_parses_strings_exactly():
 def test_as_fraction_rejects_floats():
     with pytest.raises(TypeError):
         as_fraction(0.35)
+
+
+def test_as_fraction_bad_text_is_an_input_error():
+    with pytest.raises(InputError, match=r"^Fraction\(1, 0\)$"):
+        as_fraction("1/0")
+    with pytest.raises(InputError, match="'abc'"):
+        as_fraction("abc")
+
+
+def test_every_error_class_is_one_of_four_kinds():
+    from pbprop import config, io, laminar, linsolve, oracle, rules
+
+    kinds = {
+        io.FormatError: InputError,
+        config.ConfigError: InputError,
+        rules.NotApprovalError: PreconditionError,
+        laminar.NotLaminarError: PreconditionError,
+        model.EnumerationCapError: CapExceeded,
+        linsolve.ResourceLimitError: CapExceeded,
+        oracle.OracleCapError: CapExceeded,
+    }
+    for old, kind in kinds.items():
+        assert issubclass(old, kind), old
+    assert issubclass(InputError, ValueError)
+    assert issubclass(PreconditionError, ValueError)
+    assert not issubclass(CapExceeded, ValueError)
+    assert not issubclass(CertificateError, ValueError)
+    assert not issubclass(InputError, PreconditionError)
+    modules = [
+        importlib.import_module(f"pbprop.{m.name}")
+        for m in pkgutil.iter_modules(pbprop.__path__)
+        if m.name != "__main__"
+    ]
+    defined = {
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+        and obj.__module__ == module.__name__
+    }
+    four = {InputError, PreconditionError, CapExceeded, CertificateError}
+    assert defined == four | set(kinds)
 
 
 def test_build_sorts_ids_and_fills_missing_utilities():

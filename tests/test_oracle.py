@@ -118,6 +118,15 @@ def test_search_rejects_unknown_axiom_ids():
         search_counterexample(GeneratorSpec(), "pjr", "nope", trials=1, seed=0)
 
 
+def test_search_raises_errors_that_are_not_preconditions(monkeypatch):
+    def broken(inst, w):
+        raise ValueError("a fault, not an unmet precondition")
+
+    monkeypatch.setitem(MAIN_CHECKERS, "pjr", broken)
+    with pytest.raises(ValueError, match="a fault, not an unmet precondition"):
+        search_counterexample(GeneratorSpec(), "pjr", "ejr", trials=5, seed=0)
+
+
 def test_search_skips_precondition_failures():
     # mwvpjr only applies to committee instances; fractional-cost draws are
     # skipped rather than crashing the search.
