@@ -31,7 +31,7 @@ from .laminar import (
     generate_laminar,
     recognize_laminar,
 )
-from .model import CapExceeded, CertificateError, binarize
+from .model import CapExceeded, CertificateError, InputError, as_fraction, binarize
 from .oracle import GeneratorSpec, random_instance, search_counterexample
 from .registry import MAIN_CHECKERS
 from .rules import pav, phragmen, rule_x
@@ -47,7 +47,12 @@ def _fmt_set(items) -> str:
 
 
 def _fmt_payments(payments: dict) -> str:
-    return " ".join(f"{v}:{p}" for v, p in sorted(payments.items()))
+    # The voters of one ballot type share one payment object: format it once.
+    text = {}
+    for p in payments.values():
+        if id(p) not in text:
+            text[id(p)] = str(p)
+    return " ".join(f"{v}:{text[id(p)]}" for v, p in sorted(payments.items()))
 
 
 def _print_witness(witness, out):
@@ -111,7 +116,11 @@ def _rule_lines(args, instance):
 def _cmd_run(args, out):
     instance = load_instance(args.file)
     if args.threshold is not None:
-        instance = binarize(instance, args.threshold)
+        try:
+            threshold = as_fraction(args.threshold)
+        except InputError as exc:
+            raise InputError(f"--threshold: bad rational {args.threshold!r} ({exc})") from exc
+        instance = binarize(instance, threshold)
     lines = _rule_lines(args, instance)
     out.write(REPORT_HEADER + "\n")
     out.write(f"rule {args.rule} on {args.file}\n")
@@ -280,7 +289,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (CapExceeded, OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message; print the message bare.
+        bare = isinstance(exc, KeyError) and len(exc.args) == 1
+        print(f"error: {exc.args[0] if bare else exc}", file=sys.stderr)
         return 2
 
 

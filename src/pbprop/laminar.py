@@ -355,6 +355,35 @@ def _approval_instance(approvals, cost, budget, description):
     )
 
 
+def _draw_laminar(rng, fresh, limits, share, depth):
+    """One subtree of ``generate_laminar``, at most ``depth`` levels deep,
+    whose voters each hold ``share``: (approvals, project costs, budget).
+    ``limits`` is (max_leaf_voters, max_leaf_projects)."""
+    kind = "leaf" if depth <= 0 else rng.choice(["leaf", "split", "unanimous"])
+    if kind == "leaf":
+        max_leaf_voters, max_leaf_projects = limits
+        nv = rng.randint(1, max_leaf_voters)
+        np = rng.randint(1, max_leaf_projects)
+        take = rng.randint(1, np)
+        budget = share * nv
+        voters = [fresh("v") for _ in range(nv)]
+        projects = {fresh("p"): budget / take for _ in range(np)}
+        return {v: set(projects) for v in voters}, projects, budget
+    # A split, or a unanimous project over a split (a split is never
+    # unanimous), whose halves keep the share left after the project.
+    inner_share = share if kind == "split" else share * Fraction(rng.randint(1, 3), 4)
+    la, lp, lb = _draw_laminar(rng, fresh, limits, inner_share, depth - 1)
+    ra, rp, rb = _draw_laminar(rng, fresh, limits, inner_share, depth - 1)
+    approvals, projects, budget = {**la, **ra}, {**lp, **rp}, lb + rb
+    if kind == "split":
+        return approvals, projects, budget
+    c = fresh("p")
+    projects[c] = (share - inner_share) * len(approvals)
+    for v in approvals:
+        approvals[v].add(c)
+    return approvals, projects, budget + projects[c]
+
+
 def generate_laminar(
     seed,
     max_depth=2,
@@ -372,48 +401,27 @@ def generate_laminar(
     if max_depth < 0 or max_leaf_voters < 1 or max_leaf_projects < 1:
         raise ValueError("unsatisfiable generator parameters")
     rng = random.Random(f"laminar:{seed}")
-    fresh = _fresh_ids()
-
-    def gen_leaf(share):
-        nv = rng.randint(1, max_leaf_voters)
-        np = rng.randint(1, max_leaf_projects)
-        take = rng.randint(1, np)
-        budget = share * nv
-        voters = [fresh("v") for _ in range(nv)]
-        projects = {fresh("p"): budget / take for _ in range(np)}
-        approvals = {v: set(projects) for v in voters}
-        return approvals, projects, budget
-
-    def gen_split(share, depth):
-        la, lp, lb = gen(share, depth)
-        ra, rp, rb = gen(share, depth)
-        approvals = {**la, **ra}
-        projects = {**lp, **rp}
-        return approvals, projects, lb + rb
-
-    def gen(share, depth):
-        if depth <= 0:
-            return gen_leaf(share)
-        kind = rng.choice(["leaf", "split", "unanimous"])
-        if kind == "leaf":
-            return gen_leaf(share)
-        if kind == "split":
-            return gen_split(share, depth - 1)
-        # Unanimous project over a split (a split is never unanimous).
-        inner_share = share * Fraction(rng.randint(1, 3), 4)
-        approvals, projects, budget = gen_split(inner_share, depth - 1)
-        nv = len(approvals)
-        c = fresh("p")
-        projects[c] = (share - inner_share) * nv
-        for v in approvals:
-            approvals[v].add(c)
-        return approvals, projects, budget + projects[c]
-
     share = Fraction(rng.randint(1, 6), rng.randint(1, 4))
-    approvals, projects, budget = gen(share, max_depth)
+    approvals, projects, budget = _draw_laminar(
+        rng, _fresh_ids(), (max_leaf_voters, max_leaf_projects), share, max_depth
+    )
     return _approval_instance(
         approvals, projects, budget, f"generated laminar instance (seed {seed})"
     )
+
+
+def _draw_committee(rng, fresh, max_leaf_voters, depth):
+    """One subtree of ``generate_laminar_mwv``, at most ``depth`` levels
+    deep: (approvals, projects, seats)."""
+    if depth <= 0 or rng.random() < 0.4:
+        nv = rng.randint(1, max_leaf_voters)
+        np = nv + rng.randint(0, 2)
+        voters = [fresh("v") for _ in range(nv)]
+        projects = [fresh("p") for _ in range(np)]
+        return {v: set(projects) for v in voters}, projects, nv
+    la, lp, lk = _draw_committee(rng, fresh, max_leaf_voters, depth - 1)
+    ra, rp, rk = _draw_committee(rng, fresh, max_leaf_voters, depth - 1)
+    return {**la, **ra}, lp + rp, lk + rk
 
 
 def generate_laminar_mwv(seed, max_depth=2, max_leaf_voters=3) -> PBInstance:
@@ -424,23 +432,7 @@ def generate_laminar_mwv(seed, max_depth=2, max_leaf_voters=3) -> PBInstance:
         raise ValueError("unsatisfiable generator parameters")
     rng = random.Random(f"mwv:{seed}")
     fresh = _fresh_ids()
-
-    def gen_leaf():
-        nv = rng.randint(1, max_leaf_voters)
-        np = nv + rng.randint(0, 2)
-        voters = [fresh("v") for _ in range(nv)]
-        projects = [fresh("p") for _ in range(np)]
-        approvals = {v: set(projects) for v in voters}
-        return approvals, projects, nv
-
-    def gen(depth):
-        if depth <= 0 or rng.random() < 0.4:
-            return gen_leaf()
-        la, lp, lk = gen(depth - 1)
-        ra, rp, rk = gen(depth - 1)
-        return {**la, **ra}, lp + rp, lk + rk
-
-    approvals, projects, k = gen(max_depth)
+    approvals, projects, k = _draw_committee(rng, fresh, max_leaf_voters, max_depth)
     for _ in range(rng.randint(0, 2)):
         c = fresh("p")
         projects.append(c)

@@ -9,13 +9,17 @@ The rules run once per ballot type, not once per voter: voters whose
 nonzero utility rows are identical pay the same in every round of every
 rule (by induction on the rounds), so a type's sums are its size times
 one voter's.  Traces still list every voter's payment, in voter order.
+Each round of Phragmén and Rule X also re-prices only the projects that
+can still be bought or tied; ``_next_purchase`` says why that is exact.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations
 
 from . import config
@@ -79,6 +83,35 @@ def _require_approval(rows):
         )
 
 
+def _next_purchase(bounds, price):
+    """One round's purchase for Phragmén and Rule X: (value, project,
+    tied) with the least price(c) over the remaining projects, the least id
+    at that value and the other ids at it, in order; None if none has one.
+
+    ``bounds`` is a heap of (bound, project) over the remaining projects.
+    A bound is zero or the project's last price, so it is at most its price
+    now: neither rule's prices ever fall from one round to the next.
+    Projects are priced in (bound, id) order until the next bound is
+    strictly above the least price found.  So every unpriced project costs
+    strictly more than the minimum, and every project tied at it is priced.
+    A project priced None is dropped for good (a None price stays None);
+    the others go back on the heap with their price as their bound.
+    """
+    priced = []
+    while bounds and (not priced or bounds[0][0] <= priced[0][0]):
+        c = heappop(bounds)[1]
+        value = price(c)
+        if value is not None:
+            heappush(priced, (value, c))
+    if not priced:
+        return None
+    value, c = heappop(priced)
+    tied = tuple(cc for vv, cc in sorted(priced) if vv == value)
+    for entry in priced:
+        heappush(bounds, entry)
+    return value, c, tied
+
+
 @dataclass(frozen=True)
 class PhragmenEvent:
     time: Fraction
@@ -103,6 +136,10 @@ def phragmen(instance: PBInstance, collect_ties=False):
     Each ballot type's last reset is kept as an index into the list of
     reset times (zero, then each purchase time), so that a project's
     supporters sum their resets as a count of voters per reset time.
+
+    A project's purchase time (cost + its supporters' resets) / supporters
+    never falls, because resets only move forward, so each round re-prices
+    only the projects that can still be bought or tied (``_next_purchase``).
     """
     rows, sizes, type_of = _ballot_types(instance)
     _require_approval(rows)
@@ -110,28 +147,27 @@ def phragmen(instance: PBInstance, collect_ties=False):
     last_reset = [0] * len(rows)  # index into reset_times, per type
     supporters = _supporters(instance, rows)
     counts = {c: sum(sizes[k] for k in sup) for c, sup in supporters.items()}
+
+    def purchase_time(c):
+        voters_at = [0] * len(reset_times)
+        for k in supporters[c]:
+            voters_at[last_reset[k]] += sizes[k]
+        resets = sum(n * r for n, r in zip(voters_at, reset_times) if n)
+        return (instance.cost[c] + resets) / counts[c]
+
+    bounds = [(0, c) for c in instance.projects if supporters[c]]
+    heapify(bounds)
     selected = []
     spent = Fraction(0)
     trace = PhragmenTrace()
     now = Fraction(0)
-    remaining = [c for c in instance.projects]
     while True:
-        times = []
-        for c in remaining:
-            sup = supporters[c]
-            if not sup:
-                continue
-            voters_at = [0] * len(reset_times)
-            for k in sup:
-                voters_at[last_reset[k]] += sizes[k]
-            resets = sum(n * r for n, r in zip(voters_at, reset_times) if n)
-            times.append(((instance.cost[c] + resets) / counts[c], c))
-        if not times:
+        found = _next_purchase(bounds, purchase_time)
+        if found is None:
             trace.stop_time = now
             trace.stop_reason = STOP_NO_PROJECT
             break
-        t, c = min(times)
-        tied = tuple(cc for tt, cc in sorted(times) if tt == t and cc != c)
+        t, c, tied = found
         if spent + instance.cost[c] > instance.budget:
             trace.stop_time = t
             trace.stop_reason = STOP_BUDGET
@@ -145,7 +181,6 @@ def phragmen(instance: PBInstance, collect_ties=False):
         for k in supporters[c]:
             last_reset[k] = len(reset_times) - 1
         selected.append(c)
-        remaining.remove(c)
         spent += instance.cost[c]
         now = t
     return frozenset(selected), trace
@@ -280,39 +315,52 @@ class RuleXTrace:
 def rule_x(instance: PBInstance, collect_ties=False):
     """Equal-shares purchase: repeatedly buy the project affordable at the
     smallest price-per-utility rho, charging min(remaining share, u * rho).
-    What each voter has spent is kept per ballot type.
+    What each voter has left of its share is kept per ballot type.
+
+    A project's rho never falls from one round to the next: a purchase
+    only lowers remaining money, so sum_k w_k * min(rem_k, u_k * rho)
+    falls pointwise and the least rho at which it reaches the cost can
+    only rise.  Money that falls short of the cost (rho None) stays
+    short, so such a project is dropped for good.  Each round therefore
+    re-prices only the projects that can still be bought or tied
+    (``_next_purchase``).
     """
     n = len(instance.voters)
     share = instance.budget / n
     rows, sizes, type_of = _ballot_types(instance)
-    paid = [Fraction(0)] * len(rows)
+    left = [share] * len(rows)
     supporters = _supporters(instance, rows)
+
+    def price(c):
+        contributors = [(left[k], rows[k][c], sizes[k]) for k in supporters[c]]
+        return _walk_rho(c, instance.cost[c], contributors)
+
+    bounds = [(0, c) for c in instance.projects]
+    heapify(bounds)
     selected = []
-    remaining = list(instance.projects)
     trace = RuleXTrace()
-    while remaining:
-        candidates = []
-        for c in remaining:
-            contributors = [(share - paid[k], rows[k][c], sizes[k]) for k in supporters[c]]
-            rho = _walk_rho(c, instance.cost[c], contributors)
-            if rho is not None:
-                candidates.append((rho, c))
-        if not candidates:
+    while True:
+        found = _next_purchase(bounds, price)
+        if found is None:
             break
-        rho, c = min(candidates)
-        tied = tuple(cc for rr, cc in sorted(candidates) if rr == rho and cc != c)
+        rho, c, tied = found
         charged = {}
         for k in supporters[c]:
-            p = min(share - paid[k], rows[k][c] * rho)
+            p = min(left[k], rows[k][c] * rho)
             if p > 0:
                 charged[k] = p
-                paid[k] += p
+                left[k] -= p
         payments = _per_voter(type_of, charged)
-        if sum(payments.values(), Fraction(0)) != instance.cost[c]:
+        if _payment_total(payments) != instance.cost[c]:
             raise CertificateError(f"rule X payments for {c} do not sum to its cost")
-        trace.rounds.append(
-            RuleXRound(rho, c, payments, tied if collect_ties else ())
-        )
+        trace.rounds.append(RuleXRound(rho, c, payments, tied if collect_ties else ()))
         selected.append(c)
-        remaining.remove(c)
     return frozenset(selected), trace
+
+
+def _payment_total(payments):
+    """The sum of every voter's entry in a payment dict, as one product per
+    distinct payment object: the voters of a ballot type share one."""
+    counts = Counter(map(id, payments.values()))
+    objects = {id(p): p for p in payments.values()}
+    return sum((n * objects[i] for i, n in counts.items()), Fraction(0))

@@ -353,6 +353,26 @@ def test_cli_malformed_input_exits_2_not_1(tmp_path):
         assert done.stderr.startswith("error: ") and "\n" not in done.stderr[:-1]
 
 
+def test_cli_unknown_bundle_project_message_is_bare(capsys):
+    common_tail = str(INSTANCES / "common_tail.json")
+    assert main(["check", "core", common_tail, "--bundle", "c1,zz"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: bundle references unknown projects: ['zz']\n"
+
+
+@pytest.mark.parametrize("value, reason", [
+    ("1/0", "Fraction(1, 0)"),
+    ("abc", "Invalid literal for Fraction: 'abc'"),
+])
+def test_cli_bad_threshold_names_flag_and_value(capsys, value, reason):
+    common_tail = str(INSTANCES / "common_tail.json")
+    assert main(["run", "rulex", common_tail, "--threshold", value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --threshold: bad rational {value!r} ({reason})\n"
+
+
 def test_cli_failed_self_check_exits_3(monkeypatch, capsys):
     from pbprop import axioms
 

@@ -236,6 +236,10 @@ def test_public_calls_leave_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
+        generate_laminar(3, max_depth=2)
+        assert gc.collect() == 0
+        generate_laminar_mwv(3, max_depth=2)
+        assert gc.collect() == 0
         recognize_laminar(inst)
         assert gc.collect() == 0
         list(laminar_bundles(inst))

@@ -174,15 +174,17 @@ def test_phragmen_within_budget_on_random_instances():
         assert times == sorted(times)
 
 
-def repeated_ballots_instance(rng, approval):
+def repeated_ballots_instance(rng, approval, many_rounds=False):
     """A small instance in which voters often copy an earlier voter's row,
-    sometimes with one utility changed."""
+    sometimes with one utility changed.  With ``many_rounds``, at most 6
+    voters and 8-12 projects that share two or three costs and the budget is a quarter to all
+    of their total cost, so the rules run many rounds and meet many ties."""
     from pbprop import PBInstance
 
-    projects = [f"c{j}" for j in range(rng.randint(1, 5))]
+    projects = [f"c{j}" for j in range(rng.randint(8, 12) if many_rounds else rng.randint(1, 5))]
     levels = [Fraction(0), Fraction(1)] if approval else [Fraction(k, 4) for k in range(5)]
     rows = []
-    for _ in range(rng.randint(1, 8)):
+    for _ in range(rng.randint(1, 6 if many_rounds else 8)):
         if rows and rng.random() < 0.6:
             row = dict(rng.choice(rows))
             if rng.random() < 0.3:
@@ -191,19 +193,32 @@ def repeated_ballots_instance(rng, approval):
         else:
             row = {c: rng.choice(levels) for c in projects}
         rows.append(row)
+    if many_rounds:
+        pool = [Fraction(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(rng.randint(2, 3))]
+        cost = {c: rng.choice(pool) for c in projects}
+        budget = sum(cost.values()) * Fraction(rng.randint(1, 4), 4)
+    else:
+        cost = {c: Fraction(rng.randint(1, 8), rng.randint(1, 4)) for c in projects}
+        budget = Fraction(rng.randint(1, 12), rng.randint(1, 3))
     return PBInstance.build(
         voters=[f"v{i}" for i in range(len(rows))],
         projects=projects,
-        cost={c: Fraction(rng.randint(1, 8), rng.randint(1, 4)) for c in projects},
+        cost=cost,
         utilities={f"v{i}": row for i, row in enumerate(rows)},
-        budget=Fraction(rng.randint(1, 12), rng.randint(1, 3)),
+        budget=budget,
     )
 
 
-def test_rule_x_matches_capped_set_oracle():
+def test_rule_x_matches_capped_set_oracle(monkeypatch):
+    from pbprop import config
+
+    # The oracle is exponential in the voters only; admit 12 projects.
+    monkeypatch.setattr(config, "ORACLE_MAX_BITS", 12)
     rng = random.Random(17)
-    for trial in range(300):
-        inst = repeated_ballots_instance(rng, approval=trial % 2 == 0)
+    rounds_seen = ties_seen = 0
+    for trial in range(500):
+        many_rounds = trial >= 300
+        inst = repeated_ballots_instance(rng, trial % 2 == 0, many_rounds)
         winners, trace = rule_x(inst, collect_ties=True)
         bundle, rounds = oracle_rule_x(inst)
         assert winners == bundle
@@ -211,6 +226,28 @@ def test_rule_x_matches_capped_set_oracle():
         assert got == rounds
         for (_, _, payments, _), r in zip(rounds, trace.rounds):
             assert list(r.payments) == list(payments)
+        if many_rounds:
+            rounds_seen += len(rounds)
+            ties_seen += sum(bool(r.tied_with) for r in trace.rounds)
+    # The many-round instances exercise the lazy re-pricing of later rounds.
+    assert rounds_seen >= 1000 and ties_seen >= 300
+
+
+def test_rule_x_payment_self_check_covers_every_voter(monkeypatch):
+    from pbprop import rules
+    from pbprop.model import CertificateError
+
+    per_voter = rules._per_voter
+
+    def overcharge_last_voter(type_of, amounts):
+        payments = per_voter(type_of, amounts)
+        last = list(payments)[-1]
+        payments[last] += Fraction(1, 1000)
+        return payments
+
+    monkeypatch.setattr(rules, "_per_voter", overcharge_last_voter)
+    with pytest.raises(CertificateError, match="do not sum to its cost"):
+        rule_x(get_fixture("cardinal_quartet"))
 
 
 def literal_phragmen(inst):
@@ -246,8 +283,10 @@ def literal_phragmen(inst):
 
 def test_phragmen_matches_per_voter_simulation():
     rng = random.Random(19)
-    for _ in range(300):
-        inst = repeated_ballots_instance(rng, approval=True)
+    events_seen = ties_seen = 0
+    for trial in range(500):
+        many_rounds = trial >= 300
+        inst = repeated_ballots_instance(rng, True, many_rounds)
         winners, trace = phragmen(inst, collect_ties=True)
         bought, events, stop_time, stop_reason = literal_phragmen(inst)
         assert winners == frozenset(bought)
@@ -256,3 +295,8 @@ def test_phragmen_matches_per_voter_simulation():
         for (_, _, payments, _), e in zip(events, trace.events):
             assert list(e.payments) == list(payments)
         assert (trace.stop_time, trace.stop_reason) == (stop_time, stop_reason)
+        if many_rounds:
+            events_seen += len(events)
+            ties_seen += sum(bool(e.tied_with) for e in trace.events)
+    # The many-round instances exercise the lazy re-pricing of later rounds.
+    assert events_seen >= 1000 and ties_seen >= 300
