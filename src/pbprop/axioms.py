@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from typing import Optional
 
 from . import config, linsolve
@@ -87,17 +88,21 @@ class AxiomVerdict:
         return self.status == SATISFIED
 
 
+def _names_known(instance, witness):
+    """A nonempty group of known voters and a target of known projects."""
+    voters, projects = set(instance.voters), set(instance.projects)
+    return bool(witness.group) and witness.group <= voters and witness.target <= projects
+
+
 def validate_cohesiveness_witness(instance, witness) -> bool:
     n = len(instance.voters)
-    if not witness.group or not witness.group <= set(instance.voters):
-        return False
-    if not witness.target <= set(instance.projects):
+    if not _names_known(instance, witness):
         return False
     if len(witness.group) * instance.budget < instance.cost_of(witness.target) * n:
         return False
     for c in witness.target:
-        a = witness.alpha[c]
-        if not 0 <= a <= 1:
+        a = witness.alpha.get(c)
+        if a is None or not 0 <= a <= 1:
             return False
         if any(instance.utilities[v][c] < a for v in witness.group):
             return False
@@ -106,7 +111,7 @@ def validate_cohesiveness_witness(instance, witness) -> bool:
 
 def validate_core_witness(instance, bundle, witness) -> bool:
     n = len(instance.voters)
-    if not witness.group:
+    if not _names_known(instance, witness):
         return False
     if len(witness.group) * instance.budget < instance.cost_of(witness.target) * n:
         return False
@@ -151,34 +156,21 @@ def core_deviations(instance, bundle):
     mask order over the project ids, whose strict preferrers (the group,
     nonempty) can afford T with their share of the budget.
 
-    Costs and utilities are integers, over one denominator for costs and
-    one per voter, summed per mask from the mask without its lowest bit;
-    the tables grow only as far as the caller iterates."""
-    projects = instance.projects
-    voters = instance.voters
-    n = len(voters)
-    cost_int, cost_den = _scaled([instance.cost[c] for c in projects])
-    gains = [[] for _ in projects]  # gains[i][k]: voter k's utility for project i
-    bundle_utility = []
-    for v in voters:
-        ints, _ = _scaled([instance.utilities[v][c] for c in projects])
-        for gain, x in zip(gains, ints):
-            gain.append(x)
-        bundle_utility.append(sum(x for x, c in zip(ints, projects) if c in bundle))
-    # len(better) * budget >= cost(T) * n, with cost(T) = cost_sum / cost_den.
-    share = instance.budget.numerator * cost_den
-    scale = instance.budget.denominator * n
-    costs = [0]
-    utilities = [[0] * n]
+    Utilities are the integer rows of ``_encode``, summed per mask from
+    the mask without its lowest bit, and affordability is ``_mask_costs``'s
+    test; the utility tables grow only as far as the caller iterates."""
+    voters, projects = instance.voters, instance.projects
+    rows, _, chosen = _encode(instance, bundle)
+    gains = [[row[i] for row in rows] for i in range(len(projects))]
+    bundle_utility = [sum(_mask_members(chosen, row)) for row in rows]
+    costs, share, _ = _mask_costs(instance)
+    utilities = [[0] * len(voters)]
     for mask in range(1, 1 << len(projects)):
         low = mask & -mask
-        i = low.bit_length() - 1
-        cost = costs[mask ^ low] + cost_int[i]
-        row = [a + b for a, b in zip(utilities[mask ^ low], gains[i])]
-        costs.append(cost)
+        row = [a + b for a, b in zip(utilities[mask ^ low], gains[low.bit_length() - 1])]
         utilities.append(row)
         better = [v for v, a, w in zip(voters, row, bundle_utility) if a > w]
-        if better and len(better) * share >= cost * scale:
+        if better and costs[mask] <= len(better) * share:
             yield frozenset(better), frozenset(_mask_members(mask, projects))
 
 
@@ -211,43 +203,45 @@ def _mask_costs(instance):
     # |S| * budget >= cost(T) * n, both sides times den * budget.denominator.
     scale = instance.budget.denominator * len(instance.voters)
     costs = [0]
-    for mask in range(1, 1 << len(ints)):
-        low = mask & -mask
-        costs.append(costs[mask ^ low] + ints[low.bit_length() - 1] * scale)
+    for x in ints:  # the masks with this bit set follow those without it
+        x *= scale
+        costs += [c + x for c in costs]
     return costs, instance.budget.numerator * den, den * scale
 
 
-def _group_search(instance, found, extra=None, utilities=True):
+def _encode(instance, bundle):
+    """The integer form every subset search reads, with bit k standing for
+    projects[k]: (rows, supports, chosen), where rows[k] is voter k's
+    utility row as integers over one denominator common to all voters,
+    supports[k] the mask of voter k's positive-utility projects, and
+    chosen the bundle's mask."""
+    voters, projects, m = instance.voters, instance.projects, len(instance.projects)
+    flat, _ = _scaled([instance.utilities[v][c] for v in voters for c in projects])
+    rows = [flat[k * m : (k + 1) * m] for k in range(len(voters))]
+    bits = [1 << c for c in range(m)]
+    supports = [sum(compress(bits, row)) for row in rows]
+    chosen = sum(compress(bits, [c in bundle for c in projects]))
+    return rows, supports, chosen
+
+
+def _group_search(rows, supports, found):
     """The one voter-group walk behind EJR, PJR, bpjr and mwvpjr: returns
     (S, hit) for the first nonempty voter mask S, in increasing order,
     with a non-None ``hit = found(|S|, low, high, inter, union)``, else
-    None.  ``low`` and ``high`` are the minimum and maximum over S of the
-    utility rows as integers over one denominator (``high`` also of the
-    per-voter columns ``extra(rows)``), or empty lists when ``utilities``
-    is false; ``inter`` and ``union`` combine the members' positive-utility
-    project masks, so ``inter`` is the support of ``low``.  S's tables
-    extend those of S minus its lowest bit, the last mask of |S| - 1
-    members visited, so one table per size is kept."""
-    voters, projects, m = instance.voters, instance.projects, len(instance.projects)
-    supports = [
-        sum(1 << c for c, x in enumerate(projects) if instance.utilities[v][x])
-        for v in voters
-    ]
-    if utilities:
-        flat, _ = _scaled([instance.utilities[v][c] for v in voters for c in projects])
-        rows = [flat[k * m : (k + 1) * m] for k in range(len(voters))]
-        tops = rows if extra is None else [r + x for r, x in zip(rows, extra(rows))]
-    else:
-        rows = tops = [[]] * len(voters)
-    tables = [None] * (len(voters) + 1)
-    for smask in range(1, 1 << len(voters)):
+    None.  ``low`` and ``high`` are the columnwise minimum and maximum of
+    the members' ``rows``; ``inter`` and ``union`` combine their
+    ``supports`` masks.  S's tables extend those of S minus its lowest
+    bit, the last mask of |S| - 1 members visited, so one table per size
+    is kept."""
+    tables = [None] * (len(supports) + 1)
+    for smask in range(1, 1 << len(supports)):
         i = (smask & -smask).bit_length() - 1
         size = smask.bit_count()
         # A lone member starts from its own rows; -1 masks every project.
-        low, high, inter, union = tables[size - 1] or (rows[i], tops[i], -1, 0)
+        low, high, inter, union = tables[size - 1] or (rows[i], rows[i], -1, 0)
         table = tables[size] = (
             list(map(min, low, rows[i])),
-            list(map(max, high, tops[i])),
+            list(map(max, high, rows[i])),
             inter & supports[i],
             union | supports[i],
         )
@@ -273,23 +267,23 @@ def _cohesive_verdict(instance, bundle, ejr, up_to_one):
     The first violating T in full mask order is therefore a submask of supp.
     """
     _check_caps(instance)
-    bundle = check_bundle(instance, bundle)
+    rows, supports, chosen = _encode(instance, check_bundle(instance, bundle))
     m = len(instance.projects)
-    inside = [c for c in range(m) if instance.projects[c] in bundle]
-    outside = [c for c in range(m) if instance.projects[c] not in bundle]
+    inside = _mask_members(chosen, range(m))
+    outside = _mask_members(~chosen, range(m))
 
     def need(row):  # a voter's row under EJR, the group's max row under PJR
         add = max((row[c] for c in outside), default=0) if up_to_one else 0
         return sum(row[c] for c in inside) + max(1, add)
 
-    extra = (lambda rows: [[need(r)] for r in rows]) if ejr else None
-    group_need = (lambda high: high[m]) if ejr else need
+    if ejr:  # one more column, each voter's need: the group's is its maximum
+        rows = [row + [need(row)] for row in rows]
     costs, share, _ = _mask_costs(instance)
     sums = [0] * len(costs)
 
     def found(size, low, high, supp, union):
-        goal = group_need(high)
-        if sum(low) < goal:
+        goal = high[m] if ejr else need(high)
+        if sum(low[:m]) < goal:
             return None
         cap = size * share
         t = 0
@@ -299,7 +293,7 @@ def _cohesive_verdict(instance, bundle, ejr, up_to_one):
             if s >= goal and costs[t] <= cap:
                 return t
 
-    hit = _group_search(instance, found, extra)
+    hit = _group_search(rows, supports, found)
     mode = {"up_to_one": up_to_one}
     if hit is None:
         return AxiomVerdict(SATISFIED, mode=mode)
@@ -320,8 +314,8 @@ def check_pjr(instance: PBInstance, bundle, up_to_one=False) -> AxiomVerdict:
     return _cohesive_verdict(instance, bundle, False, up_to_one)
 
 
-def _committee_verdict(instance, bundle, axiom, found):
-    hit = _group_search(instance, found, utilities=False)
+def _committee_verdict(instance, bundle, axiom, supports, found):
+    hit = _group_search([[]] * len(supports), supports, found)
     if hit is None:
         return AxiomVerdict(SATISFIED)
     group = frozenset(_mask_members(hit[0], instance.voters))
@@ -341,15 +335,15 @@ def check_mwv_pjr(instance: PBInstance, bundle) -> AxiomVerdict:
     k = instance.committee_size()
     _check_caps(instance)
     bundle = check_bundle(instance, bundle)
+    _, supports, chosen = _encode(instance, bundle)
     n = len(instance.voters)
-    chosen = sum(1 << c for c, x in enumerate(instance.projects) if x in bundle)
 
     def found(size, low, high, inter, union):
         ell = (union & chosen).bit_count() + 1
         if ell * n <= size * k and ell <= inter.bit_count():
             return Fraction(ell)
 
-    return _committee_verdict(instance, bundle, "mwvpjr", found)
+    return _committee_verdict(instance, bundle, "mwvpjr", supports, found)
 
 
 def check_strong_bpjr(instance: PBInstance, bundle) -> AxiomVerdict:
@@ -365,15 +359,15 @@ def check_strong_bpjr(instance: PBInstance, bundle) -> AxiomVerdict:
         raise PreconditionError("budget-limit PJR requires an approval instance")
     _check_caps(instance)
     bundle = check_bundle(instance, bundle)
+    _, supports, chosen = _encode(instance, bundle)
     costs, share, unit = _mask_costs(instance)
-    chosen = sum(1 << c for c, x in enumerate(instance.projects) if x in bundle)
 
     def found(size, low, high, inter, union):
         bound = min(size * share, costs[inter])
         if costs[union & chosen] < bound:
             return Fraction(bound, unit)
 
-    return _committee_verdict(instance, bundle, "bpjr", found)
+    return _committee_verdict(instance, bundle, "bpjr", supports, found)
 
 
 def _payment_var(voter, project):
@@ -459,11 +453,16 @@ def validate_price_system(
     if b_min_one and ps.initial_budget < 1:
         report.add(f"initial budget {ps.initial_budget} below 1 (strict mode)")
     share = ps.initial_budget / n
+    for v in ps.payments:
+        if v not in instance.utilities:
+            report.add(f"payments by unknown voter {v}")
     for v in instance.voters:
         for c, p in ps.payments.get(v, {}).items():
             if p < 0:
                 report.add(f"negative payment p_{v}({c}) = {p}")
-            if p > 0 and instance.utilities[v][c] == 0:
+            if c not in instance.cost:
+                report.add(f"payment for unknown project: p_{v}({c}) = {p}")
+            elif p > 0 and instance.utilities[v][c] == 0:
                 report.add(f"payment for zero-utility project: p_{v}({c}) = {p}")
         if ps.total_paid(v) > share:
             report.add(

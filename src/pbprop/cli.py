@@ -220,6 +220,21 @@ def _cmd_verify(args, out):
     return 0 if failures == 0 else 1
 
 
+def _at_least(least):
+    """An argparse type: an int no smaller than ``least``."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum {least}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pbprop",
@@ -251,9 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate an instance")
     p_gen.add_argument("kind", choices=("laminar", "random"))
     p_gen.add_argument("--seed", type=int, required=True)
-    p_gen.add_argument("--depth", type=int, default=2)
-    p_gen.add_argument("--max-voters", type=int, default=5)
-    p_gen.add_argument("--max-projects", type=int, default=4)
+    p_gen.add_argument("--depth", type=_at_least(0), default=2)
+    p_gen.add_argument("--max-voters", type=_at_least(1), default=5)
+    p_gen.add_argument("--max-projects", type=_at_least(1), default=4)
     p_gen.add_argument("--cardinal", action="store_true")
     p_gen.add_argument("--out", help="write to this path instead of stdout")
     p_gen.set_defaults(func=_cmd_gen)
@@ -261,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="hunt for an axiom-implication witness")
     p_search.add_argument("--assume", required=True, choices=sorted(MAIN_CHECKERS))
     p_search.add_argument("--conclude", required=True, choices=sorted(MAIN_CHECKERS))
-    p_search.add_argument("--trials", type=int, default=200)
+    p_search.add_argument("--trials", type=_at_least(1), default=200)
     p_search.add_argument("--seed", type=int, default=0)
     p_search.set_defaults(func=_cmd_search)
 

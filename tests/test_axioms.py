@@ -23,10 +23,11 @@ from pbprop import (
     validate_price_system,
 )
 from pbprop import axioms
-from pbprop.axioms import CohesivenessWitness, EnumerationCapError
+from pbprop.axioms import CohesivenessWitness, CoreWitness, EnumerationCapError
 from pbprop.fixtures import get_fixture
 from pbprop.model import CertificateError
 from pbprop.oracle import random_bundle
+from pbprop.registry import MAIN_CHECKERS
 
 
 def test_core_detects_blocking_pair():
@@ -93,6 +94,14 @@ def test_witness_validation_rejects_garbage():
         frozenset({"v1"}), frozenset({"c3"}), {"c3": Fraction(1)}
     )
     assert not validate_cohesiveness_witness(inst, wrong_alpha)
+    # Names the instance does not know are rejected, not a KeyError.
+    missing_alpha = CohesivenessWitness(frozenset({"v1"}), frozenset({"c1"}), {})
+    assert not validate_cohesiveness_witness(inst, missing_alpha)
+    empty = frozenset()
+    assert validate_core_witness(inst, empty, CoreWitness(frozenset({"v1"}), frozenset({"c1"})))
+    for group, target in (({"zz"}, {"c1"}), ({"v1"}, {"zz"}), ({"v1", "zz"}, {"c1"})):
+        foreign = CoreWitness(frozenset(group), frozenset(target))
+        assert not validate_core_witness(inst, empty, foreign)
 
 
 def test_mwv_pjr_requires_mwv():
@@ -207,6 +216,15 @@ def test_price_system_validation_catches_violations():
     bad = type(good)(good.initial_budget, {**good.payments, "s1": {"t2": Fraction(2)}})
     report = validate_price_system(inst, w, bad)
     assert not report.ok
+    # Payments to an unknown project, or by an unknown voter, are problems.
+    s1 = {**good.payments["s1"], "zz": Fraction(1, 9)}
+    foreign = type(good)(good.initial_budget, {**good.payments, "s1": s1})
+    problems = validate_price_system(inst, w, foreign).problems
+    assert "payment for unknown project: p_s1(zz) = 1/9" in problems
+    stranger = type(good)(good.initial_budget, {**good.payments, "zz": {"t2": Fraction(0)}})
+    assert validate_price_system(inst, w, stranger).problems == [
+        "payments by unknown voter zz"
+    ]
 
 
 def test_phragmen_trace_to_price_system():
@@ -214,6 +232,16 @@ def test_phragmen_trace_to_price_system():
     winners, trace = phragmen(inst)
     ps = price_system_from_phragmen(inst, trace)
     assert validate_price_system(inst, winners, ps).ok
+
+
+def test_checkers_judge_over_budget_bundles_as_given():
+    # README, "Axiom checkers": a bundle of known projects is judged as
+    # given, over budget included; feasibility is the caller's job.
+    inst = get_fixture("unit_split")
+    everything = frozenset(inst.projects)
+    assert inst.cost_of(everything) > inst.budget
+    verdicts = {axiom: check(inst, everything) for axiom, check in MAIN_CHECKERS.items()}
+    assert {axiom for axiom, v in verdicts.items() if not v.satisfied} == {"laminarprop"}
 
 
 def test_enumeration_cap(monkeypatch):
@@ -281,6 +309,22 @@ def _literal_cohesive_witnesses(inst, bundle):
     return first
 
 
+def _literal_core_witness(inst, bundle):
+    """The first (group, target) of the core, from the definition: every
+    target T, ascending, with S the voters who strictly prefer T to the
+    bundle, when S is nonempty and affords T; in Fractions."""
+    n = len(inst.voters)
+    for target in _ascending(inst.projects):
+        group = frozenset(
+            v
+            for v in inst.voters
+            if inst.voter_utility(v, target) > inst.voter_utility(v, bundle)
+        )
+        if group and len(group) * inst.budget >= inst.cost_of(target) * n:
+            return group, target
+    return None
+
+
 def _literal_committee_witnesses(inst, bundle, committee):
     """The first (group, level) of budget-limit PJR (largest owed level,
     cost) and, on a committee instance, of committee PJR (least level,
@@ -331,6 +375,10 @@ def test_first_witness_matches_definition_literal_search():
     for trial in range(360):
         inst = _differential_instance(rng, trial)
         bundle = random_bundle(inst, rng)
+        w = check_core(inst, bundle).witness
+        got = None if w is None else (w.group, w.target)
+        assert got == _literal_core_witness(inst, bundle), (trial, "core")
+        seen["core", got is None] = seen.get(("core", got is None), 0) + 1
         expected = _literal_cohesive_witnesses(inst, bundle)
         for axiom, verdict in (
             ("ejr", check_ejr(inst, bundle)),
@@ -361,6 +409,6 @@ def test_first_witness_matches_definition_literal_search():
             seen[axiom, got is None] = seen.get((axiom, got is None), 0) + 1
     # Both verdicts occur for every axiom, and cardinal witnesses skip
     # zero-threshold projects.
-    for axiom in ("ejr", "ejr1", "pjr", "pjr1", "bpjr", "mwvpjr"):
+    for axiom in ("core", "ejr", "ejr1", "pjr", "pjr1", "bpjr", "mwvpjr"):
         assert seen.get((axiom, True)) and seen.get((axiom, False)), axiom
     assert zero_columns > 0

@@ -434,6 +434,15 @@ def test_cli_usage_errors(capsys, tmp_path):
     assert main([]) == 2
     assert main(["check", "pjr", str(tmp_path / "missing.json"),
                  "--bundle", "c1"]) == 2
+    # A count below its minimum is a usage error that names the flag.
+    capsys.readouterr()
+    for argv, flag in (
+        (["search", "--assume", "pjr", "--conclude", "ejr", "--trials", "-3"], "--trials"),
+        (["gen", "random", "--seed", "1", "--max-voters", "0"], "--max-voters"),
+    ):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument {flag}: " in err and "below the minimum" in err
 
 
 def test_cli_reports_are_deterministic(quartet_file, capsys):
