@@ -1,14 +1,16 @@
 """Exact LP feasibility, cross-checked against an independent
 Fourier-Motzkin decision of the same systems."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from pbprop import config
+from pbprop.axioms import priceability_system
 from pbprop.linsolve import EQ, GEQ, LEQ, LinearSystem, ResourceLimitError, lp_feasible
-from pbprop.oracle import fm_feasible
+from pbprop.oracle import GeneratorSpec, fm_feasible, random_instance
 
 
 def system(variables, rows, nonneg=()):
@@ -148,3 +150,32 @@ def test_cross_check_against_fourier_motzkin():
                 assert sys_.satisfied_by(got.assignment)
             verdicts.add(want)
         assert verdicts == {True, False}
+
+
+# sha256 of the vertices below.  The certificates `pbprop check priceable`
+# prints are these vertices, so a change to how rows are scaled into the
+# tableau, to the pivot rules or to the read-back must keep this digest.
+GOLDEN_VERTICES = "5715fb6e643efbfa0390d87a13b6c1891965c23563d191815b54b998fe25b9f8"
+
+
+def test_priceability_vertices_are_pinned():
+    rng = random.Random(20261018)
+    lines = []
+    for trial in range(300):
+        spec = GeneratorSpec(
+            max_voters=12,
+            max_projects=8,
+            approval=trial % 2 == 0,
+            utility_denominator=rng.choice((2, 3, 4, 6)),
+        )
+        inst = random_instance(spec, rng)
+        bundle = [c for c in inst.projects if rng.random() < 0.5]
+        result = lp_feasible(priceability_system(inst, bundle, b_min_one=trial % 3 == 0))
+        if result.feasible:
+            point = " ".join(f"{v}={x}" for v, x in sorted(result.assignment.items()))
+        else:
+            point = "infeasible"
+        lines.append(f"{trial} {point}")
+    assert sum(line.endswith("infeasible") for line in lines) == 64
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_VERTICES
