@@ -22,12 +22,14 @@ from .model import (
     PBInstance,
     PreconditionError,
     ValidationReport,
+    ZERO,
     _scaled,
     check_bundle,
 )
 
 SATISFIED = "satisfied"
 VIOLATED = "violated"
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 
 def _check_caps(instance):
@@ -110,6 +112,7 @@ def validate_cohesiveness_witness(instance, witness) -> bool:
 
 
 def validate_core_witness(instance, bundle, witness) -> bool:
+    bundle = check_bundle(instance, bundle)
     n = len(instance.voters)
     if not _names_known(instance, witness):
         return False
@@ -128,13 +131,14 @@ def validate_committee_witness(instance, bundle, witness, axiom) -> bool:
     Owed means ell <= |S| k / n seats with ell common approvals (mwvpjr,
     ell a whole number), or 0 < ell <= |S| l / n with common approvals
     costing at least ell (bpjr)."""
+    bundle = check_bundle(instance, bundle)
     group, level = witness.group, witness.level
     n = len(instance.voters)
     if not group or not group <= set(instance.voters):
         return False
     approvals = [instance.approval_set(v) for v in group]
     common = frozenset.intersection(*approvals)
-    selected = frozenset.union(*approvals) & frozenset(bundle)
+    selected = frozenset.union(*approvals) & bundle
     if axiom == "mwvpjr":
         k = instance.committee_size()
         return (
@@ -379,41 +383,50 @@ def priceability_system(instance: PBInstance, bundle, b_min_one=False):
 
     Variables: the initial budget b and one payment per (voter, selected
     project) pair with positive utility; payments for other pairs are
-    identically zero and omitted.
+    identically zero and omitted.  Each distinct utility row is compared
+    with zero once.
     """
     bundle = check_bundle(instance, bundle)
     n = len(instance.voters)
+    selected = sorted(bundle)
+    unselected = [c for c in instance.projects if c not in bundle]
+    liked = {}  # id(utility row) -> its positive selected and unselected projects
+    pays = {}  # voter -> its payment variables
+    payers = {c: {} for c in selected}  # project -> {payment variable: 1}
+    supporters = {c: [] for c in unselected}
     system = linsolve.LinearSystem()
     system.add_variable("b", nonneg=True)
-    payers = {c: [] for c in bundle}
     for v in instance.voters:
-        for c in sorted(bundle):
-            if instance.utilities[v][c] > 0:
-                system.add_variable(_payment_var(v, c), nonneg=True)
-                payers[c].append(v)
+        row = instance.utilities[v]
+        if id(row) not in liked:
+            liked[id(row)] = (
+                [c for c in selected if row[c] > 0],
+                [c for c in unselected if row[c] > 0],
+            )
+        inside, outside = liked[id(row)]
+        pays[v] = []
+        for c in inside:
+            var = _payment_var(v, c)
+            system.add_variable(var, nonneg=True)
+            pays[v].append(var)
+            payers[c][var] = _ONE
+        for c in outside:
+            supporters[c].append(v)
     if b_min_one:
-        system.add({"b": Fraction(1)}, linsolve.GEQ, Fraction(1))
+        system.add({"b": _ONE}, linsolve.GEQ, _ONE)
+    minus_share = Fraction(-1, n)
     for v in instance.voters:
-        coeffs = {
-            _payment_var(v, c): Fraction(1) for c in bundle if instance.utilities[v][c] > 0
-        }
-        coeffs["b"] = Fraction(-1, n)
-        system.add(coeffs, linsolve.LEQ, Fraction(0))
-    for c in sorted(bundle):
-        coeffs = {_payment_var(v, c): Fraction(1) for v in payers[c]}
-        system.add(coeffs, linsolve.EQ, instance.cost[c])
-    for c in instance.projects:
-        if c in bundle:
+        coeffs = dict.fromkeys(pays[v], _ONE)
+        coeffs["b"] = minus_share
+        system.add(coeffs, linsolve.LEQ, ZERO)
+    for c in selected:
+        system.add(payers[c], linsolve.EQ, instance.cost[c])
+    for c in unselected:
+        if not supporters[c]:
             continue
-        supporters = instance.approvers(c)
-        if not supporters:
-            continue
-        coeffs = {"b": Fraction(len(supporters), n)}
-        for v in supporters:
-            for cw in bundle:
-                if instance.utilities[v][cw] > 0:
-                    var = _payment_var(v, cw)
-                    coeffs[var] = coeffs.get(var, Fraction(0)) - 1
+        coeffs = {"b": Fraction(len(supporters[c]), n)}
+        for v in supporters[c]:
+            coeffs.update(dict.fromkeys(pays[v], _MINUS_ONE))
         system.add(coeffs, linsolve.LEQ, instance.cost[c])
     return system
 
@@ -427,14 +440,13 @@ def check_priceable(instance: PBInstance, bundle, b_min_one=False) -> AxiomVerdi
         return AxiomVerdict(
             VIOLATED, witness="no supporting price system exists", mode=mode
         )
+    point = result.assignment
+    selected = sorted(bundle)
     payments = {}
     for v in instance.voters:
-        row = {}
-        for c in bundle:
-            if instance.utilities[v][c] > 0:
-                row[c] = result.assignment[_payment_var(v, c)]
-        payments[v] = row
-    ps = PriceSystem(result.assignment["b"], payments)
+        row = instance.utilities[v]
+        payments[v] = {c: point[_payment_var(v, c)] for c in selected if row[c] > 0}
+    ps = PriceSystem(point["b"], payments)
     report = validate_price_system(instance, bundle, ps, b_min_one=b_min_one)
     if not report.ok:
         raise CertificateError("; ".join(report.problems))
@@ -444,7 +456,12 @@ def check_priceable(instance: PBInstance, bundle, b_min_one=False) -> AxiomVerdi
 def validate_price_system(
     instance: PBInstance, bundle, ps: PriceSystem, b_min_one=False
 ) -> ValidationReport:
-    """Exhaustive exact check of all price-system conditions for W."""
+    """Exhaustive exact check of all price-system conditions for W.
+
+    Each voter's total and in-bundle payments are summed once; the slack
+    of an unselected project's supporters S is then
+    |S| * share - (their in-bundle payments), exactly the sum over S of
+    share minus each one's in-bundle payments."""
     bundle = check_bundle(instance, bundle)
     n = len(instance.voters)
     report = ValidationReport()
@@ -456,20 +473,28 @@ def validate_price_system(
     for v in ps.payments:
         if v not in instance.utilities:
             report.add(f"payments by unknown voter {v}")
+    funded = dict.fromkeys(instance.projects, ZERO)
+    in_bundle = {}
     for v in instance.voters:
-        for c, p in ps.payments.get(v, {}).items():
+        row = ps.payments.get(v, {})
+        spent = ZERO
+        for c, p in row.items():
             if p < 0:
                 report.add(f"negative payment p_{v}({c}) = {p}")
             if c not in instance.cost:
                 report.add(f"payment for unknown project: p_{v}({c}) = {p}")
-            elif p > 0 and instance.utilities[v][c] == 0:
+                continue
+            if p > 0 and instance.utilities[v][c] == 0:
                 report.add(f"payment for zero-utility project: p_{v}({c}) = {p}")
-        if ps.total_paid(v) > share:
-            report.add(
-                f"voter {v} pays {ps.total_paid(v)} exceeding share {share}"
-            )
+            funded[c] += p
+            if c in bundle:
+                spent += p
+        in_bundle[v] = spent
+        total = sum(row.values(), ZERO)
+        if total > share:
+            report.add(f"voter {v} pays {total} exceeding share {share}")
     for c in instance.projects:
-        total = sum((ps.paid(v, c) for v in instance.voters), Fraction(0))
+        total = funded[c]
         if c in bundle:
             if total != instance.cost[c]:
                 report.add(
@@ -481,13 +506,7 @@ def validate_price_system(
         if c in bundle:
             continue
         supporters = instance.approvers(c)
-        slack = sum(
-            (
-                share - sum((ps.paid(v, cw) for cw in bundle), Fraction(0))
-                for v in supporters
-            ),
-            Fraction(0),
-        )
+        slack = len(supporters) * share - sum((in_bundle[v] for v in supporters), ZERO)
         if slack > instance.cost[c]:
             report.add(
                 f"supporters of unselected {c} hold slack {slack} > cost "

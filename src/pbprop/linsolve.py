@@ -13,8 +13,15 @@ entry ``f`` in the entering column becomes ``r * p - f * pivot_row``
 (fraction-free, in the spirit of Bareiss 1968), touching the pivot row's
 nonzeros only, and is then divided by the gcd of its entries, right-hand
 side and denominator.  The ratio test compares ratios by cross-multiplying
-integers.  Values become ``Fraction``s only when the assignment is read
-off at the end.
+integers.
+
+Each constraint enters the tableau as its own integer row
+(``Constraint.scaled``: the row times the lcm of its denominators, which
+is already in lowest terms).  Values become ``Fraction``s only when the
+assignment is read off at the end, and that point is checked against the
+same integer rows over one common denominator (``_satisfies``, which is
+also ``LinearSystem.satisfied_by``), with a plain ``if`` so that the check
+runs under ``python -O``.
 
 The pivot rules fix which vertex is returned:
 
@@ -56,13 +63,15 @@ class Constraint:
     relation: str  # one of LEQ, EQ, GEQ
     rhs: Fraction
 
-    def holds(self, assignment) -> bool:
-        lhs = sum((c * assignment[v] for v, c in self.coeffs.items()), Fraction(0))
-        if self.relation == LEQ:
-            return lhs <= self.rhs
-        if self.relation == GEQ:
-            return lhs >= self.rhs
-        return lhs == self.rhs
+    def scaled(self):
+        """(entries, rhs, den): the row times den, the lcm of the
+        denominators of its coefficients and right-hand side, as integers
+        ({variable: nonzero int}, int, positive int).  It is in lowest
+        terms: each prime power in den divides some value's denominator,
+        and that value's scaled numerator is coprime to the prime."""
+        den = math.lcm(self.rhs.denominator, *[c.denominator for c in self.coeffs.values()])
+        entries = {v: c.numerator * (den // c.denominator) for v, c in self.coeffs.items() if c}
+        return entries, self.rhs.numerator * (den // self.rhs.denominator), den
 
 
 @dataclass
@@ -71,9 +80,13 @@ class LinearSystem:
     constraints: list = field(default_factory=list)
     nonneg: set = field(default_factory=set)
 
+    def __post_init__(self):
+        self._declared = set(self.variables)
+
     def add_variable(self, name: str, nonneg=False):
-        if name in self.variables:
+        if name in self._declared:
             raise ValueError(f"duplicate variable {name!r}")
+        self._declared.add(name)
         self.variables.append(name)
         if nonneg:
             self.nonneg.add(name)
@@ -81,14 +94,20 @@ class LinearSystem:
     def add(self, coeffs, relation, rhs):
         if relation not in _RELATIONS:
             raise ValueError(f"unknown relation {relation!r}")
-        coeffs = {v: Fraction(c) for v, c in coeffs.items()}
         for v in coeffs:
-            if v not in self.variables:
+            if v not in self._declared:
                 raise ValueError(f"constraint references undeclared variable {v!r}")
-        self.constraints.append(Constraint(coeffs, relation, Fraction(rhs)))
+        coeffs = {v: c if type(c) is Fraction else Fraction(c) for v, c in coeffs.items()}
+        rhs = rhs if type(rhs) is Fraction else Fraction(rhs)
+        self.constraints.append(Constraint(coeffs, relation, rhs))
 
     def satisfied_by(self, assignment) -> bool:
-        return all(con.holds(assignment) for con in self.constraints)
+        """Whether every constraint holds at the point, decided exactly in
+        integers: the point over one common denominator, each row over its
+        own (``Constraint.scaled``)."""
+        return _satisfies(
+            [(con.scaled(), con.relation) for con in self.constraints], assignment
+        )
 
 
 @dataclass(frozen=True)
@@ -97,13 +116,25 @@ class FeasibilityResult:
     assignment: Optional[dict] = None  # variable name -> Fraction, when feasible
 
 
-def _integer_row(values):
-    """Scale a {column: Fraction} row and its right-hand side (key None) to
-    (entries, rhs, denominator) in lowest terms."""
-    den = math.lcm(*[a.denominator for a in values.values()])
-    row = {j: a.numerator * (den // a.denominator) for j, a in values.items() if a}
-    rhs = row.pop(None, 0)
-    return _reduced(row, rhs, den)
+def _satisfies(rows, assignment):
+    """rows: ((entries, rhs, den), relation) pairs as ``Constraint.scaled``
+    gives them.  With D the lcm of the point's denominators and X = D * x,
+    the row entries . x / den (relation) rhs / den holds iff
+    entries . X (relation) rhs * D."""
+    common = math.lcm(*[x.denominator for x in assignment.values()])
+    point = {v: x.numerator * (common // x.denominator) for v, x in assignment.items()}
+    for (entries, rhs, _), relation in rows:
+        lhs = sum([a * point[v] for v, a in entries.items()])
+        rhs *= common
+        if relation == LEQ:
+            holds = lhs <= rhs
+        elif relation == GEQ:
+            holds = lhs >= rhs
+        else:
+            holds = lhs == rhs
+        if not holds:
+            return False
+    return True
 
 
 def _reduced(row, rhs, den):
@@ -158,38 +189,47 @@ def lp_feasible(system: LinearSystem) -> FeasibilityResult:
     # Column layout: one column per variable, an extra negated column per
     # free variable, then one slack per inequality, then one artificial
     # per row.
-    columns = [(v, 1) for v in system.variables]
-    columns += [(v, -1) for v in system.variables if v not in system.nonneg]
-    col_of = {}
-    for j, (v, sign) in enumerate(columns):
-        col_of.setdefault(v, []).append((j, sign))
-    nslack = sum(1 for c in system.constraints if c.relation != EQ)
-    ncols = len(columns) + nslack
+    col = {v: j for j, v in enumerate(system.variables)}
+    free = [v for v in system.variables if v not in system.nonneg]
+    free = {v: nvars + k for k, v in enumerate(free)}
+    nvarcols = nvars + len(free)
+    ncols = nvarcols + sum(1 for c in system.constraints if c.relation != EQ)
     m = len(system.constraints)
     total = ncols + m
 
-    # rows[i] = (entries, rhs, den): row i is entries / den = rhs / den.
-    # Artificials start basic; the phase-I objective (minimise their sum)
-    # is kept as reduced costs, negated so we can pivot on positives, with
-    # the current objective value as its right-hand side.
+    # rows[i] = (entries, rhs, den): row i is entries / den = rhs / den,
+    # the constraint's own scaled row laid out on the columns, negated
+    # when its right-hand side is negative, with den as its slack and
+    # artificial entries.  Such a row is in lowest terms: den is the lcm of
+    # the constraint's denominators.  Artificials start basic; the phase-I
+    # objective (minimise their sum) is kept as reduced costs, negated so we
+    # can pivot on positives, with the current objective value as its
+    # right-hand side: the sum of the rows without their artificials, here
+    # over the lcm of their denominators.
+    scaled = [con.scaled() for con in system.constraints]
+    obj_den = math.lcm(*[den for _, _, den in scaled])
     rows = []
     obj = {}
-    slack_at = 0
-    for i, con in enumerate(system.constraints):
-        values = {None: con.rhs}
-        for v, c in con.coeffs.items():
-            for j, sign in col_of[v]:
-                values[j] = sign * c
+    obj_val = 0
+    slack = nvarcols
+    for i, (con, (entries, rhs, den)) in enumerate(zip(system.constraints, scaled)):
+        if rhs < 0:
+            entries, rhs, sign = {v: -a for v, a in entries.items()}, -rhs, -1
+        else:
+            sign = 1
+        row = {col[v]: a for v, a in entries.items()}
+        if free:
+            row.update((free[v], -a) for v, a in entries.items() if v in free)
         if con.relation != EQ:
-            values[len(columns) + slack_at] = Fraction(1 if con.relation == LEQ else -1)
-            slack_at += 1
-        if con.rhs < 0:
-            values = {j: -a for j, a in values.items()}
-        for j, a in values.items():
-            obj[j] = obj.get(j, 0) + a
-        values[ncols + i] = Fraction(1)
-        rows.append(_integer_row(values))
-    obj, obj_val, obj_den = _integer_row(obj)
+            row[slack] = sign * den if con.relation == LEQ else -sign * den
+            slack += 1
+        w = obj_den // den
+        for j, a in row.items():
+            obj[j] = obj.get(j, 0) + a * w
+        obj_val += rhs * w
+        row[ncols + i] = den
+        rows.append((row, rhs, den))
+    obj, obj_val, obj_den = _reduced({j: a for j, a in obj.items() if a}, obj_val, obj_den)
     basis = [ncols + i for i in range(m)]
 
     # Dantzig's rule is fast but can cycle; switch to Bland's rule (which
@@ -235,11 +275,12 @@ def lp_feasible(system: LinearSystem) -> FeasibilityResult:
     if obj_val != 0:
         return FeasibilityResult(False)
 
-    values = {bj: Fraction(rhs, den) for bj, (_, rhs, den) in zip(basis, rows)}
-    assignment = {
-        v: sum((sign * values.get(j, 0) for j, sign in col_of[v]), Fraction(0))
-        for v in system.variables
-    }
-    if not system.satisfied_by(assignment):
+    zero = Fraction(0)
+    values = {j: Fraction(rhs, den) for j, (_, rhs, den) in zip(basis, rows) if j < nvarcols}
+    assignment = {v: values.get(j, zero) for v, j in col.items()}
+    for v, j in free.items():
+        if j in values:
+            assignment[v] -= values[j]
+    if not _satisfies(zip(scaled, (con.relation for con in system.constraints)), assignment):
         raise CertificateError("simplex assignment violates the system")
     return FeasibilityResult(True, assignment)

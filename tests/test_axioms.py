@@ -104,6 +104,26 @@ def test_witness_validation_rejects_garbage():
         assert not validate_core_witness(inst, empty, foreign)
 
 
+def test_validators_reject_unknown_bundle_ids_like_the_checkers():
+    # A bundle naming a project the instance lacks is the caller's error,
+    # not a verdict: every validator raises the checkers' KeyError.
+    inst = get_fixture("unit_split")
+    bundle = frozenset({"zz"})
+    with pytest.raises(KeyError) as expected:
+        check_core(inst, bundle)
+    core = CoreWitness(frozenset({"v1"}), frozenset({"c1"}))
+    mwv = axioms.CommitteeWitness(frozenset({"v1"}), Fraction(1))
+    calls = (
+        lambda: validate_core_witness(inst, bundle, core),
+        lambda: validate_committee_witness(inst, bundle, mwv, "mwvpjr"),
+        lambda: validate_price_system(inst, bundle, axioms.PriceSystem(Fraction(1), {})),
+    )
+    for call in calls:
+        with pytest.raises(KeyError) as raised:
+            call()
+        assert raised.value.args == expected.value.args
+
+
 def test_mwv_pjr_requires_mwv():
     with pytest.raises(ValueError):
         check_mwv_pjr(get_fixture("cardinal_quartet"), set())
@@ -224,6 +244,38 @@ def test_price_system_validation_catches_violations():
     stranger = type(good)(good.initial_budget, {**good.payments, "zz": {"t2": Fraction(0)}})
     assert validate_price_system(inst, w, stranger).problems == [
         "payments by unknown voter zz"
+    ]
+
+
+def test_price_system_validation_accepts_its_boundaries():
+    # Every condition holds with equality somewhere below, so a validator
+    # comparison made strict, or loosened to accept equality on the wrong
+    # side, shows.
+    inst = PBInstance.build(
+        voters=["v1", "v2"],
+        projects=["a", "b", "c"],
+        cost={"a": 1, "b": 1, "c": 1},
+        utilities={"v1": {"a": 1, "c": 1}, "v2": {"b": 1, "c": 1}},
+        budget=3,
+    )
+    PS = axioms.PriceSystem
+    # v1 pays nothing for b, which it does not like; c's supporters keep
+    # exactly its cost.
+    spare = PS(
+        Fraction(3), {"v1": {"a": Fraction(1), "b": Fraction(0)}, "v2": {"b": Fraction(1)}}
+    )
+    # Each voter spends exactly their share.
+    spent = PS(Fraction(2), {"v1": {"a": Fraction(1)}, "v2": {"b": Fraction(1)}})
+    for ps in (spare, spent):
+        assert validate_price_system(inst, {"a", "b"}, ps, b_min_one=True).ok
+    # Budgets of exactly 0, and exactly 1 in strict mode, on the empty bundle.
+    assert validate_price_system(inst, set(), PS(Fraction(0), {})).ok
+    assert validate_price_system(inst, set(), PS(Fraction(1), {}), b_min_one=True).ok
+    liked = PS(
+        Fraction(3), {"v1": {"a": Fraction(1), "b": Fraction(1, 2)}, "v2": {"b": Fraction(1, 2)}}
+    )
+    assert validate_price_system(inst, {"a", "b"}, liked).problems == [
+        "payment for zero-utility project: p_v1(b) = 1/2"
     ]
 
 

@@ -66,6 +66,35 @@ def test_negative_rhs_rows():
     assert res.assignment["x"] >= 5
 
 
+def test_satisfied_by_decides_each_relation_exactly():
+    # Mixed denominators on both sides; the boundary point holds for every
+    # relation, and a point off it by 1/105 fails exactly the relations it
+    # crosses.
+    sys_ = LinearSystem()
+    for v in ("x", "y"):
+        sys_.add_variable(v)
+    coeffs = {"x": Fraction(2, 3), "y": Fraction(-1, 5)}
+    rhs = Fraction(1, 7)  # met at x = 3/7, y = 5/7
+    on = {"x": Fraction(3, 7), "y": Fraction(5, 7)}
+    above = {"x": Fraction(3, 7), "y": Fraction(5, 7) - Fraction(1, 21)}
+    below = {"x": Fraction(3, 7), "y": Fraction(5, 7) + Fraction(1, 21)}
+    for relation, holds in (
+        (LEQ, (True, False, True)),
+        (GEQ, (True, True, False)),
+        (EQ, (True, False, False)),
+    ):
+        one = LinearSystem(["x", "y"])
+        one.add(coeffs, relation, rhs)
+        assert [one.satisfied_by(p) for p in (on, above, below)] == list(holds), relation
+        sys_.add(coeffs, relation, rhs)
+    assert sys_.satisfied_by(on) and not sys_.satisfied_by(above)
+    assert not sys_.satisfied_by(below)
+    # Whole numbers pass as well as Fractions; a missing variable is an error.
+    assert system(["x"], [({"x": 2}, EQ, 4)]).satisfied_by({"x": 2})
+    with pytest.raises(KeyError):
+        system(["x"], [({"x": 2}, EQ, 4)]).satisfied_by({})
+
+
 def test_duplicate_variable_rejected():
     sys_ = LinearSystem()
     sys_.add_variable("x")
