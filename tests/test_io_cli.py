@@ -1,6 +1,7 @@
 """File formats and the command-line front end."""
 
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -555,3 +556,125 @@ def test_paper_verify_fails_exactly_the_mutated_item(item, mutate, monkeypatch, 
         if line.split()[0] != item
     ]
     assert lines[-1] == "7/8 fixtures pass"
+
+
+def _pinned_sweep(gen_out):
+    """The argv lists of the pinned CLI sweep: every subcommand on every
+    shipped instance, run by bare file name from the instances directory."""
+    axioms = sorted(set(MAIN_CHECKERS) - {"priceable1"})
+    calls = []
+    for path in sorted(INSTANCES.glob("*.json")):
+        name = path.name
+        for rule in ("phragmen", "pav", "rulex"):
+            for extra in ([], ["--all-ties"], ["--threshold", "1/2"]):
+                calls.append(["run", rule, name, *extra])
+        calls.append(["laminar", name])
+        projects = load_instance(path).projects
+        full = 2 ** len(projects) - 1
+        for mask in sorted({k * full // 5 for k in range(6)}):
+            bundle = ",".join(c for i, c in enumerate(projects) if mask >> i & 1)
+            for axiom in axioms:
+                calls.append(["check", axiom, name, "--bundle", bundle])
+            calls.append(["check", "priceable", name, "--bundle", bundle, "--b-min", "1"])
+        calls.append(["check", "core", name, "--bundle", "c1,zz"])
+    return calls + [
+        ["paper-verify"],
+        ["search", "--assume", "ejr", "--conclude", "core", "--trials", "300"],
+        ["search", "--assume", "pjr", "--conclude", "ejr", "--trials", "50"],
+        ["gen", "laminar", "--seed", "3"],
+        ["gen", "laminar", "--seed", "3", "--out", gen_out],
+        ["gen", "random", "--seed", "2", "--cardinal"],
+        ["run", "rulex", "two_camps.json", "--threshold", "1/0"],
+        ["laminar", "missing.json"],
+    ]
+
+
+# One sha256 per call of _pinned_sweep over its exit status, stdout and
+# stderr, cut to 8 hex digits and concatenated in sweep order.
+PINNED_REPORTS = (
+    "bf7668c3bf7668c3efb63926bf7668c3bf7668c3da0fe87b3287a2a73287a2a70b37b953"
+    "b9fc5a426ddc8baecd837e42b9fc5a42570f705cb7c1b43bb9fc5a42bc665eb5706fc86b"
+    "7c293a29d4ca706036fb8aba6ddc8bae03b8828bb9fc5a42f5fa841f97d9ededb9fc5a42"
+    "bc665eb53693699085c9e97944af919844af91986ddc8baebbf5a408b9fc5a42ad132a9b"
+    "e2dae140b9fc5a42bc665eb539e3b4fdb9cad44d1dedcb3c0e8453a46ddc8baef0ef2ed6"
+    "b9fc5a42fda155e3395994dfb9fc5a42bc665eb53e30db825df2214500ea656700ea6567"
+    "6ddc8bae6108ee90b9fc5a42f733f790488a0c1eb9fc5a42bc665eb52b61ea3dbd62aa21"
+    "46fc8409ee09aa576ddc8baecb1785beb9fc5a42cc63146b1ee87293b9fc5a42bc665eb5"
+    "3ec831827171aa72e6864cf1e6864cf1d4b5c48caf5fc750ba47e2a5af5fc750e93dd707"
+    "fd7d07c3e93dd707ca6c723869f7fc3fca6c72384b7eceee1145dd832b6daa0df084c3fe"
+    "e178ffe8c65807b444701a0cbc665eb50adea58fd498a4ceeb0f85d827ba490068e353f4"
+    "610fb696dddca62cf04409264bb80dc827d9d841bc665eb5eaa5ba8b9c9b6096b8de6591"
+    "6e4eacd1159e7c13774e3c37ae21dcdf6fc74f34aceade593e0038d0bc665eb5d6a732d7"
+    "1bf00386e7ce2b59e7ce2b598e6d307057e96164c07f8d70cd045731ab35f5c096d26ebe"
+    "bc665eb5a89a034e1b5bfc67e275a8d211ce2ffc6c2aab5123ea28b44f348d2d0f3916f6"
+    "8d3672206812a081bc665eb515b033ae49f666eeb374c898ea5fbe4407a787cc2750dd02"
+    "4b081aebfc5ec4afd5f1f2a6e7874ababc665eb527897991ac4ad8e7bf7a2257bf7a2257"
+    "d4b5c48ca4b57e05dc3db4e8a4b57e05a56f50947c8147eda56f50940fd48b1bf68c0d33"
+    "0fd48b1b3d9a78218ed537bc3d80a94731225ae4c7b61c9f859c908231225ae4fe907f3c"
+    "2f49e81ccc5afb3b5908fbd25908fbd22bfa2d56a22f8dc731225ae41c395f3e75e8438b"
+    "31225ae41010e5a31460aaebd31d1fae1cfe6f481cfe6f48eea27a23347e486631225ae4"
+    "698b1b04287e230231225ae4215f4ed9505bb5e464b6004177ab9e4e77ab9e4ea68f1ff2"
+    "e99a7df531225ae4b839327a6240a41b31225ae474c5d60803fa049f69a1088ea00a2483"
+    "a00a24837d721453c88811ee31225ae4dcce8d5622af129331225ae47037ed331527391b"
+    "ea038a49441dd1b7441dd1b72063cc435a93df3931225ae44c88915469f7f36531225ae4"
+    "318dcb51a599301f20053c71091838ba091838bad4b5c48c82a0bf12a51eff0682a0bf12"
+    "c7fe5d039c4dd2a0c7fe5d0324dcf103d3c6388b24dcf1039c5aac32b764ee553bc7d090"
+    "42c85f76318b2d07acf4fcaef95c6867bc665eb5549203334a9a11bf6752c15d6752c15d"
+    "5830f408f7299efa2f1413ec1d69a6f704e4c784524bde4fbc665eb56010936eb6994ea5"
+    "9c7b69469c7b694689443964aec62503905ddc41667a93a3c14657811711ebfebc665eb5"
+    "dd47bd697e16ea7a204a3a7b204a3a7b6f9c2d5765d3be89d002d4ceac6f3bad975bf6f9"
+    "3c47b873bc665eb5f0cadc518520bbc9bedaf6cfbedaf6cf162367ff2a2fa3eb6b9df89b"
+    "8707d4f3336b66c82ba7a029bc665eb5ea0a524cc34908fa216f427f216f427ffd8535ec"
+    "a62fa5040f5873aa79843608f2188dbec25410fcbc665eb51e9a7caf672e4e3e20d9e8d7"
+    "20d9e8d7d4b5c48cfbf911b6a40a866efbf911b6eddc21bc78ed8276eddc21bcebbae194"
+    "e81dd201ebbae1949d71c5d7e4ce527cf5f5e8e6a649c540b47252f65cf590b34b768b68"
+    "bc665eb5974cdb023653474136d0c5a72b6405d9ce4e733ba67a4bce06f0a0ad29368252"
+    "caed9e6dbdb80d05bc665eb5f749e0f38b8ac53b8489e1308489e1300d8212d56dc28b23"
+    "553fb48d0e7b9d0fe18f312c3f836c05bc665eb5b13478e584e8adc4dda5e3e3dda5e3e3"
+    "db9722b1a9708d1307111f7762b3e75fc1b10b0ac311ce53bc665eb54d427bafd1ed55ab"
+    "7b49cb367b49cb3617041bac630af67650e578c5f2184c993bc3cedaca36296cbc665eb5"
+    "4a6b6dbf42aa27afc76b2b41c76b2b41a9c3ccde95e65b5c483c9b9757b48a1227982df0"
+    "bc363763bc665eb52f968536c5781bcc7d0e528c7d0e528c34ed1fe7bf7668c3bf7668c3"
+    "1567d60dbf7668c3bf7668c3080eae7f85ff4331d6a10ea5be23d5f5b9fc5a426ddc8bae"
+    "63733d1fb9fc5a42feffa00ee05763b3b9fc5a42bc665eb5a213ada389051e222fe8e66e"
+    "71fed4846ddc8baec80e8a0fb9fc5a42eeeadf137ee02834b9fc5a42bc665eb5c16db8c9"
+    "6e0f528cc0e5cf15c0e5cf156ddc8baed51eedf8b9fc5a42e61f788c631149a8b9fc5a42"
+    "bc665eb5b3de45ef6cbc1d63758b2162758b21626ddc8bae0336cbe2b9fc5a4254045bcb"
+    "7a4cad90b9fc5a42bc665eb577873ae17377db0fd9ec4848d9ec48486ddc8bae73ee2e45"
+    "b9fc5a425d34a3bf5a8cb3b2b9fc5a42bc665eb593a1d521a0374f75b53aacf7b53aacf7"
+    "6ddc8baedfb386b0b9fc5a42128c65aa181b9884b9fc5a42bc665eb5a591f2c333ec55a5"
+    "881d8c14881d8c14d4b5c48cd9d31b1bfe53a8f3d9d31b1b445855d6283fd63d445855d6"
+    "4d5470c7661181364d5470c7ec550e48af886e43547a8a576595c4f94d46a65ce2ae5389"
+    "1a1fe73177e4d154ee16f6e4b026d8bab2a8eb50b2a8eb503806668e50c46baaa15f889b"
+    "00d0c86c6a1b770fd7e027aa4133675c933ddd67a15aaf8bd52008e3d52008e3cfba128d"
+    "3bf1f28ef86e52aa07d6a8b3686a00fa84551ebfb1fe0403f767cde7aa34e38bb313a47b"
+    "b313a47b699beb7a3578f5e1b94539e49f1afdef5db0e0d87070009b127b1157b4429ef9"
+    "0e3a878a52d2bae852d2bae8513fa27c494d3742b0ab129e54e62e118b8bd9fffa4c8b78"
+    "4f5e7b2704dfac74908aedbfb8b2282bb8b2282b31b47ae9459c0d06d03abab22f2d7690"
+    "8c1c59968c9ee5f3a3c28b91855ffc0247f70a4215c62cb815c62cb8d4b5c48c7202158c"
+    "f476f991fe67ebd2d46a698ab0efbbc4b18e9ba819fc57e7e0530ec1"
+)
+
+
+def test_cli_reports_are_pinned(monkeypatch, capsys, tmp_path):
+    """Every report line, error message and exit status of a fixed sweep
+    stays byte for byte the same; a mismatch names the first changed call."""
+    monkeypatch.chdir(INSTANCES)
+    gen_out = tmp_path / "gen.json"
+    sweep = _pinned_sweep(str(gen_out))
+    digests, reports = [], []
+    for argv in sweep:
+        status = main(argv)
+        out, err = capsys.readouterr()
+        blob = f"{status}\0{out}\0{err}"
+        digests.append(hashlib.sha256(blob.encode()).hexdigest()[:8])
+        reports.append((status, out, err))
+    pinned = [PINNED_REPORTS[i : i + 8] for i in range(0, len(PINNED_REPORTS), 8)]
+    changed = next((i for i, (a, b) in enumerate(zip(digests, pinned)) if a != b), None)
+    assert changed is None, (
+        f"pbprop {' '.join(sweep[changed])} changed: exit {reports[changed][0]}\n"
+        f"stdout:\n{reports[changed][1]}stderr:\n{reports[changed][2]}"
+    )
+    assert len(digests) == len(pinned)
+    gen_index = next(i for i, argv in enumerate(sweep) if "--out" in argv)
+    assert gen_out.read_text("utf-8") == reports[gen_index - 1][1]
