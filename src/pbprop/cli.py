@@ -3,17 +3,19 @@
 Subcommands: run (a voting rule), check (an axiom against a bundle),
 laminar (recognition + decomposition dump), gen (instance generators),
 search (randomized counterexample hunt), paper-verify (the built-in
-fixture suite).  Exit status: 0 success or Satisfied, 1 Violated (or not
-laminar), 2 usage error, malformed input, an unmet precondition or an
-instance over a size cap, 3 a failed self-check (README, "CLI").
+fixture suite).  Each subcommand returns its exit status and report text;
+``main`` writes the text in one piece after the subcommand returns.  Exit
+status: 0 success or Satisfied, 1 Violated (or not laminar), 2 usage
+error, malformed input, an unmet precondition or an instance over a size
+cap, 3 a failed self-check (README, "CLI").
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import random
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .axioms import (
@@ -25,7 +27,6 @@ from .axioms import (
 )
 from .io import load_instance, serialize_instance
 from .laminar import (
-    Split,
     UnanimousLeaf,
     UnanimousProject,
     generate_laminar,
@@ -55,65 +56,73 @@ def _fmt_payments(payments: dict) -> str:
     return " ".join(f"{v}:{text[id(p)]}" for v, p in sorted(payments.items()))
 
 
-def _print_witness(witness, out):
+def _report(*lines) -> str:
+    """A report's text: the header line, then each line."""
+    return "".join(line + "\n" for line in (REPORT_HEADER, *lines))
+
+
+def _witness_lines(witness):
     if witness is None:
-        return
-    if isinstance(witness, CohesivenessWitness):
-        out.write(f"  witness group  {_fmt_set(witness.group)}\n")
-        out.write(f"  witness target {_fmt_set(witness.target)}\n")
-        for c in sorted(witness.target):
-            out.write(f"  alpha({c}) = {witness.alpha[c]}\n")
-        out.write(f"  alpha total = {witness.sum_alpha()}\n")
-    elif isinstance(witness, CoreWitness):
-        out.write(f"  witness group  {_fmt_set(witness.group)}\n")
-        out.write(f"  witness target {_fmt_set(witness.target)}\n")
-    elif isinstance(witness, CommitteeWitness):
-        out.write(f"  witness group {_fmt_set(witness.group)}\n")
-        out.write(f"  owed level    {witness.level}\n")
-    else:
-        out.write(f"  witness: {witness}\n")
+        return []
+    if isinstance(witness, (CohesivenessWitness, CoreWitness)):
+        lines = [
+            f"  witness group  {_fmt_set(witness.group)}",
+            f"  witness target {_fmt_set(witness.target)}",
+        ]
+        if isinstance(witness, CohesivenessWitness):
+            lines += [f"  alpha({c}) = {witness.alpha[c]}" for c in sorted(witness.target)]
+            lines.append(f"  alpha total = {witness.sum_alpha()}")
+        return lines
+    if isinstance(witness, CommitteeWitness):
+        return [
+            f"  witness group {_fmt_set(witness.group)}",
+            f"  owed level    {witness.level}",
+        ]
+    return [f"  witness: {witness}"]
 
 
-def _print_certificate(cert, out):
+def _certificate_lines(cert):
     if not isinstance(cert, PriceSystem):
-        return
-    out.write(f"  price system: initial budget b = {cert.initial_budget}\n")
+        return []
+    lines = [f"  price system: initial budget b = {cert.initial_budget}"]
     for v in sorted(cert.payments):
         row = {c: p for c, p in cert.payments[v].items() if p != 0}
         if row:
-            out.write(f"    {v} pays {_fmt_payments(row)}\n")
+            lines.append(f"    {v} pays {_fmt_payments(row)}")
+    return lines
+
+
+def _step_line(clock, step):
+    """One purchase of a Phragmén event or a Rule X round, at its clock."""
+    line = f"  {clock} buy {step.project} payments {_fmt_payments(step.payments)}"
+    if step.tied_with:
+        line += f" tied-with {','.join(step.tied_with)}"
+    return line
 
 
 def _rule_lines(args, instance):
     """The report lines of one rule run, after the header."""
-    if args.rule == "phragmen":
-        winners, trace = phragmen(instance, collect_ties=args.all_ties)
-        lines = [f"bundle {_fmt_set(winners)}"]
-        for e in trace.events:
-            line = f"  t={e.time} buy {e.project} payments {_fmt_payments(e.payments)}"
-            if e.tied_with:
-                line += f" tied-with {','.join(e.tied_with)}"
-            lines.append(line)
-        lines.append(f"  stop at t={trace.stop_time} ({trace.stop_reason})")
-    elif args.rule == "pav":
+    if args.rule == "pav":
         if args.all_ties:
             winners, score, ties = pav(instance, collect_ties=True)
         else:
             (winners, score), ties = pav(instance), []
-        lines = [f"bundle {_fmt_set(winners)}", f"score {score}"]
-        lines += [f"  maximizer {_fmt_set(t)}" for t in ties]
+        return [
+            f"bundle {_fmt_set(winners)}",
+            f"score {score}",
+            *(f"  maximizer {_fmt_set(t)}" for t in ties),
+        ]
+    if args.rule == "phragmen":
+        winners, trace = phragmen(instance, collect_ties=args.all_ties)
+        steps = [_step_line(f"t={e.time}", e) for e in trace.events]
+        steps.append(f"  stop at t={trace.stop_time} ({trace.stop_reason})")
     else:
         winners, trace = rule_x(instance, collect_ties=args.all_ties)
-        lines = [f"bundle {_fmt_set(winners)}"]
-        for r in trace.rounds:
-            line = f"  rho={r.rho} buy {r.project} payments {_fmt_payments(r.payments)}"
-            if r.tied_with:
-                line += f" tied-with {','.join(r.tied_with)}"
-            lines.append(line)
-    return lines
+        steps = [_step_line(f"rho={r.rho}", r) for r in trace.rounds]
+    return [f"bundle {_fmt_set(winners)}", *steps]
 
 
-def _cmd_run(args, out):
+def _cmd_run(args):
     instance = load_instance(args.file)
     if args.threshold is not None:
         try:
@@ -121,53 +130,49 @@ def _cmd_run(args, out):
         except InputError as exc:
             raise InputError(f"--threshold: bad rational {args.threshold!r} ({exc})") from exc
         instance = binarize(instance, threshold)
-    lines = _rule_lines(args, instance)
-    out.write(REPORT_HEADER + "\n")
-    out.write(f"rule {args.rule} on {args.file}\n")
-    out.write("".join(line + "\n" for line in lines))
-    return 0
+    return 0, _report(f"rule {args.rule} on {args.file}", *_rule_lines(args, instance))
 
 
-def _cmd_check(args, out):
+def _cmd_check(args):
     instance = load_instance(args.file)
     bundle = frozenset(x for x in args.bundle.split(",") if x)
     axiom = "priceable1" if args.axiom == "priceable" and args.b_min else args.axiom
     verdict = MAIN_CHECKERS[axiom](instance, bundle)
-    out.write(REPORT_HEADER + "\n")
-    out.write(f"check {args.axiom} on {args.file} bundle {_fmt_set(bundle)}\n")
-    out.write(("Satisfied" if verdict.satisfied else "Violated") + "\n")
-    _print_witness(verdict.witness, out)
-    _print_certificate(verdict.certificate, out)
-    return 0 if verdict.satisfied else 1
+    return 0 if verdict.satisfied else 1, _report(
+        f"check {args.axiom} on {args.file} bundle {_fmt_set(bundle)}",
+        "Satisfied" if verdict.satisfied else "Violated",
+        *_witness_lines(verdict.witness),
+        *_certificate_lines(verdict.certificate),
+    )
 
 
-def _dump_tree(node, out, indent="  "):
+def _tree_lines(node, indent="  "):
+    deeper = indent + "  "
     if isinstance(node, UnanimousLeaf):
-        out.write(
+        return [
             f"{indent}leaf voters {_fmt_set(node.voters)} projects "
-            f"{_fmt_set(node.projects)} budget {node.budget}\n"
-        )
-    elif isinstance(node, UnanimousProject):
-        out.write(f"{indent}unanimous project {node.project} budget {node.budget}\n")
-        _dump_tree(node.child, out, indent + "  ")
-    elif isinstance(node, Split):
-        out.write(f"{indent}split budget {node.budget}\n")
-        _dump_tree(node.left, out, indent + "  ")
-        _dump_tree(node.right, out, indent + "  ")
+            f"{_fmt_set(node.projects)} budget {node.budget}"
+        ]
+    if isinstance(node, UnanimousProject):
+        return [
+            f"{indent}unanimous project {node.project} budget {node.budget}",
+            *_tree_lines(node.child, deeper),
+        ]
+    return [
+        f"{indent}split budget {node.budget}",
+        *_tree_lines(node.left, deeper),
+        *_tree_lines(node.right, deeper),
+    ]
 
 
-def _cmd_laminar(args, out):
+def _cmd_laminar(args):
     root = recognize_laminar(load_instance(args.file))
-    out.write(REPORT_HEADER + "\n")
     if root is None:
-        out.write("not laminar: instance is not laminar\n")
-        return 1
-    out.write(f"laminar instance {args.file}\n")
-    _dump_tree(root, out)
-    return 0
+        return 1, _report("not laminar: instance is not laminar")
+    return 0, _report(f"laminar instance {args.file}", *_tree_lines(root))
 
 
-def _cmd_gen(args, out):
+def _cmd_gen(args):
     if args.kind == "laminar":
         instance = generate_laminar(args.seed, max_depth=args.depth)
     else:
@@ -176,48 +181,37 @@ def _cmd_gen(args, out):
             max_projects=args.max_projects,
             approval=not args.cardinal,
         )
-        import random
-
         instance = random_instance(spec, random.Random(args.seed))
     text = serialize_instance(instance)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
-    return 0
+    if not args.out:
+        return 0, text
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return 0, ""
 
 
-def _cmd_search(args, out):
-    spec = GeneratorSpec()
+def _cmd_search(args):
     found = search_counterexample(
-        spec, args.assume, args.conclude, trials=args.trials, seed=args.seed
+        GeneratorSpec(), args.assume, args.conclude, trials=args.trials, seed=args.seed
     )
-    out.write(REPORT_HEADER + "\n")
-    out.write(
-        f"search {args.assume} => {args.conclude} "
-        f"trials={args.trials} seed={args.seed}\n"
-    )
+    head = f"search {args.assume} => {args.conclude} trials={args.trials} seed={args.seed}"
     if found is None:
-        out.write("NoneFound\n")
-        return 0
-    out.write(f"counterexample at trial {found.trial}\n")
-    out.write(f"bundle {_fmt_set(found.bundle)}\n")
-    out.write(serialize_instance(found.instance))
-    return 0
+        return 0, _report(head, "NoneFound")
+    return 0, _report(
+        head,
+        f"counterexample at trial {found.trial}",
+        f"bundle {_fmt_set(found.bundle)}",
+    ) + serialize_instance(found.instance)
 
 
-def _cmd_verify(args, out):
+def _cmd_verify(args):
     items = run_verification()
-    out.write(REPORT_HEADER + "\n")
     width = max(len(i.name) for i in items)
-    failures = 0
-    for item in items:
-        status = "pass" if item.ok else "FAIL"
-        out.write(f"{item.name.ljust(width)}  {status}  {item.detail}\n")
-        failures += not item.ok
-    out.write(f"{len(items) - failures}/{len(items)} fixtures pass\n")
-    return 0 if failures == 0 else 1
+    failures = sum(not i.ok for i in items)
+    return 0 if failures == 0 else 1, _report(
+        *(f"{i.name.ljust(width)}  {'pass' if i.ok else 'FAIL'}  {i.detail}" for i in items),
+        f"{len(items) - failures}/{len(items)} fixtures pass",
+    )
 
 
 def _at_least(least):
@@ -299,7 +293,9 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage error, 0 on --help; keep that contract.
         return int(exc.code or 0)
     try:
-        return args.func(args, sys.stdout)
+        status, text = args.func(args)
+        sys.stdout.write(text)
+        return status
     except CertificateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
