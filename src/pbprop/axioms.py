@@ -19,6 +19,7 @@ from . import config, linsolve
 from .model import (
     CertificateError,
     EnumerationCapError,
+    InputError,
     PBInstance,
     PreconditionError,
     ValidationReport,
@@ -388,6 +389,8 @@ def priceability_system(instance: PBInstance, bundle, b_min_one=False):
     """
     bundle = check_bundle(instance, bundle)
     n = len(instance.voters)
+    if not n:
+        raise InputError("no voters")
     selected = sorted(bundle)
     unselected = [c for c in instance.projects if c not in bundle]
     liked = {}  # id(utility row) -> its positive selected and unselected projects
@@ -465,11 +468,14 @@ def validate_price_system(
     bundle = check_bundle(instance, bundle)
     n = len(instance.voters)
     report = ValidationReport()
+    if not n:
+        report.add("no voters")
+        return report
     if ps.initial_budget < 0:
         report.add(f"negative initial budget {ps.initial_budget}")
     if b_min_one and ps.initial_budget < 1:
         report.add(f"initial budget {ps.initial_budget} below 1 (strict mode)")
-    share = ps.initial_budget / n
+    share = Fraction(ps.initial_budget) / n
     for v in ps.payments:
         if v not in instance.utilities:
             report.add(f"payments by unknown voter {v}")

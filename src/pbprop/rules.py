@@ -26,6 +26,7 @@ from . import config
 from .model import (
     CertificateError,
     EnumerationCapError,
+    InputError,
     PBInstance,
     PreconditionError,
     _scaled,
@@ -326,6 +327,8 @@ def rule_x(instance: PBInstance, collect_ties=False):
     (``_next_purchase``).
     """
     n = len(instance.voters)
+    if not n:
+        raise InputError("no voters")
     share = instance.budget / n
     rows, sizes, type_of = _ballot_types(instance)
     left = [share] * len(rows)

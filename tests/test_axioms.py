@@ -17,6 +17,7 @@ from pbprop import (
     phragmen,
     price_system_from_phragmen,
     random_instance,
+    rule_x,
     validate_cohesiveness_witness,
     validate_committee_witness,
     validate_core_witness,
@@ -25,7 +26,7 @@ from pbprop import (
 from pbprop import axioms
 from pbprop.axioms import CohesivenessWitness, CoreWitness, EnumerationCapError
 from pbprop.fixtures import get_fixture
-from pbprop.model import CertificateError
+from pbprop.model import CertificateError, InputError
 from pbprop.oracle import random_bundle
 from pbprop.registry import MAIN_CHECKERS
 
@@ -245,6 +246,22 @@ def test_price_system_validation_catches_violations():
     assert validate_price_system(inst, w, stranger).problems == [
         "payments by unknown voter zz"
     ]
+    # An int initial budget is exact too: each voter's share stays a Fraction.
+    assert good.initial_budget == 1
+    assert validate_price_system(inst, w, type(good)(1, good.payments)).ok
+
+
+def test_no_voters_is_an_input_error():
+    inst = PBInstance.build([], ["c"], {"c": 1}, {}, 1)
+    for call in (
+        lambda: rule_x(inst),
+        lambda: axioms.priceability_system(inst, {"c"}),
+        lambda: check_priceable(inst, {"c"}),
+    ):
+        with pytest.raises(InputError, match="^no voters$"):
+            call()
+    ps = axioms.PriceSystem(Fraction(1), {})
+    assert validate_price_system(inst, set(), ps).problems == ["no voters"]
 
 
 def test_price_system_validation_accepts_its_boundaries():
