@@ -163,14 +163,6 @@ def _certifying(instance, cases, memo, s, w):
     return memo[s, w]
 
 
-def _laminar_root(instance):
-    """The certification tree; raise NotLaminarError when there is none."""
-    root = recognize_laminar(instance)
-    if root is None:
-        raise NotLaminarError("instance is not laminar")
-    return root
-
-
 def _tree(cases, memo, s):
     """The tree of the first case of slice s whose children are all
     laminar, or None, memoized in memo; a case fails at its first
@@ -204,6 +196,15 @@ def recognize_laminar(instance: PBInstance):
     return None if root is None else _tree(cases, {}, root)
 
 
+def _laminar_tree(root, cases):
+    """The certification tree of the root slice from its case table; raise
+    NotLaminarError when there is none."""
+    tree = None if root is None else _tree(cases, {}, root)
+    if tree is None:
+        raise NotLaminarError("instance is not laminar")
+    return tree
+
+
 def is_laminar_proportional(instance: PBInstance, bundle) -> AxiomVerdict:
     """Satisfied iff some decomposition certifies the bundle: leaves take a
     maximal affordable part of the agreed projects (nothing else fits in the
@@ -217,7 +218,7 @@ def is_laminar_proportional(instance: PBInstance, bundle) -> AxiomVerdict:
     root, cases = _slice_cases(instance)
     if root is not None and _certifying(instance, cases, {}, root, bundle):
         return AxiomVerdict(SATISFIED)
-    _laminar_root(instance)
+    _laminar_tree(root, cases)
     return AxiomVerdict(VIOLATED, witness="no decomposition certifies the bundle")
 
 
@@ -240,11 +241,19 @@ def _bundles(instance, cases, memo, s):
 
 def laminar_bundles(instance: PBInstance):
     """All bundles certified laminar proportional, in canonical order: the
-    union over every case of every slice."""
+    union over every case of every slice.
+
+    The set is empty exactly when the instance is not laminar.  By
+    induction over slices, a slice has a certified bundle iff ``_tree``
+    finds a case for it: a leaf case always certifies one, since a maximal
+    affordable part of its projects always exists (grow the empty set,
+    which fits in the slice budget, until nothing else fits); a stacked
+    project or a split certifies a bundle iff each of its children does;
+    and ``_tree`` takes a case iff each of its children has a tree."""
     root, cases = _slice_cases(instance)
     bundles = set() if root is None else _bundles(instance, cases, {}, root)
     if not bundles:
-        _laminar_root(instance)
+        raise NotLaminarError("instance is not laminar")
     yield from sorted(bundles, key=lambda w: tuple(sorted(w)))
 
 
@@ -273,7 +282,7 @@ def laminar_price_system(instance: PBInstance, bundle):
     root, cases = _slice_cases(instance)
     memo = {}
     if root is None or not _certifying(instance, cases, memo, root, bundle):
-        _laminar_root(instance)
+        _laminar_tree(root, cases)
         raise NotLaminarError("bundle is not laminar proportional")
     payments = _payments(instance, cases, memo, root, bundle)
     for v in instance.voters:
@@ -317,7 +326,7 @@ def check_core_u_afford(instance: PBInstance, bundle) -> AxiomVerdict:
     """Core restricted to deviations whose target is u-affordable w.r.t.
     the unanimous projects scoped to the deviating group's branch."""
     bundle = check_bundle(instance, bundle)
-    root = _laminar_root(instance)
+    root = _laminar_tree(*_slice_cases(instance))
     pools = {}  # group -> its unanimity pool
 
     def u_affordable(group, target):

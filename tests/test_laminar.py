@@ -1,11 +1,13 @@
 """Laminar recognition, bundle certification, the constructive price
 system, generators, and the unanimity-restricted core."""
 
-import pytest
-
+import random
 from fractions import Fraction
 
+import pytest
+
 from pbprop import (
+    GeneratorSpec,
     NotLaminarError,
     PBInstance,
     check_core_u_afford,
@@ -15,6 +17,7 @@ from pbprop import (
     is_u_affordable,
     laminar_bundles,
     laminar_price_system,
+    random_instance,
     recognize_laminar,
     validate_price_system,
 )
@@ -169,6 +172,32 @@ def test_enumeration_matches_certification_over_all_bundles():
             assert ps.initial_budget == inst.cost_of(w)
         checked += 1
     assert checked >= 12
+
+
+def test_not_laminar_exactly_when_no_bundle_is_certified():
+    """recognize_laminar answers None iff laminar_bundles raises iff
+    is_laminar_proportional raises on a bundle: all three read one case
+    table, and a slice with a tree always certifies some bundle."""
+    rng = random.Random(13)
+    instances = [random_instance(GeneratorSpec(), rng) for _ in range(300)]
+    instances += [generate_laminar(seed) for seed in range(40)]
+    kinds = set()
+    for inst in instances:
+        not_laminar = recognize_laminar(inst) is None
+        kinds.add(not_laminar)
+        try:
+            next(laminar_bundles(inst))
+            enumeration_raises = False
+        except NotLaminarError:
+            enumeration_raises = True
+        try:
+            bundle = {c for c in inst.projects if rng.random() < 0.5}
+            is_laminar_proportional(inst, bundle)
+            certification_raises = False
+        except NotLaminarError:
+            certification_raises = True
+        assert not_laminar == enumeration_raises == certification_raises
+    assert kinds == {True, False}
 
 
 def test_u_affordability_is_pointwise_cost_domination():
