@@ -32,7 +32,14 @@ from .laminar import (
     generate_laminar,
     recognize_laminar,
 )
-from .model import CapExceeded, CertificateError, InputError, as_fraction, binarize
+from .model import (
+    CapExceeded,
+    CertificateError,
+    InputError,
+    _distinct,
+    as_fraction,
+    binarize,
+)
 from .oracle import GeneratorSpec, random_instance, search_counterexample
 from .registry import MAIN_CHECKERS
 from .rules import pav, phragmen, rule_x
@@ -49,11 +56,8 @@ def _fmt_set(items) -> str:
 
 def _fmt_payments(payments: dict) -> str:
     # The voters of one ballot type share one payment object: format it once.
-    text = {}
-    for p in payments.values():
-        if id(p) not in text:
-            text[id(p)] = str(p)
-    return " ".join(f"{v}:{text[id(p)]}" for v, p in sorted(payments.items()))
+    text = {id(p): str(p) for p in _distinct(payments.values())}
+    return " ".join([f"{v}:{text[id(p)]}" for v, p in sorted(payments.items())])
 
 
 def _report(*lines) -> str:

@@ -117,19 +117,31 @@ def serialize_instance(instance: PBInstance) -> str:
 _NEEDED = {"PROJECTS": ("project_id", "cost"), "VOTES": ("voter_id", "vote")}
 
 
-def _pb_row(header, fields, needed, lineno):
-    row = dict(zip(header, fields))
-    for key in needed:
-        if key not in row:
+def _pb_columns(header, needed):
+    """Per needed field, the header's indexes of that name, last first."""
+    return [
+        [i for i in reversed(range(len(header))) if header[i] == key] for key in needed
+    ]
+
+
+def _pb_fields(fields, columns, needed, lineno):
+    """The needed fields of a row, each read from the last column of its
+    name that the row has, as ``dict(zip(header, fields))`` would."""
+    values = []
+    for key, at in zip(needed, columns):
+        i = next((i for i in at if i < len(fields)), None)
+        if i is None:
             raise FormatError(f"line {lineno}: row has no {key} field")
-    return row
+        values.append(fields[i].strip())
+    return values
 
 
 def parse_pabulib(text: str) -> PBInstance:
     """Read a .pb participatory-budgeting election (approval ballots only).
 
-    Each distinct vote string is split once, and every voter casting it
-    gets the same (read-only) row.
+    A PROJECTS or VOTES row is read by the column indexes of its section's
+    header.  Each distinct vote string is split once, and every voter
+    casting it gets the same (read-only) row.
     """
     section = None
     header = None
@@ -147,8 +159,8 @@ def parse_pabulib(text: str) -> PBInstance:
             continue
         if section is None:
             raise FormatError(f"line {lineno}: content before any section header")
-        fields = [f.strip() for f in line.split(";")]
         if section == "META":
+            fields = [f.strip() for f in line.split(";")]
             if header is None and fields[:2] == ["key", "value"]:
                 header = fields
                 continue
@@ -158,22 +170,27 @@ def parse_pabulib(text: str) -> PBInstance:
             continue
         needed = _NEEDED[section]
         if header is None:
-            header = fields
+            header = [f.strip() for f in line.split(";")]
             if not all(key in header for key in needed):
                 raise FormatError(
                     f"line {lineno}: {section} header needs {' and '.join(needed)}"
                 )
+            columns = _pb_columns(header, needed)
+            first, second = (at[0] for at in columns)
+            width = max(first, second) + 1  # a row this long has both fields
             continue
-        row = _pb_row(header, fields, needed, lineno)
-        if section == "PROJECTS":
-            pid = row["project_id"]
-            if pid in cost:
-                raise FormatError(f"line {lineno}: duplicate project id {pid!r}")
-            cost[pid] = _rational(row["cost"], f"line {lineno}: bad cost")
+        fields = line.split(";")
+        if len(fields) >= width:
+            key, value = fields[first].strip(), fields[second].strip()
         else:
-            vid = row["voter_id"]
-            order.append(vid)
-            votes[vid] = row["vote"]
+            key, value = _pb_fields(fields, columns, needed, lineno)
+        if section == "PROJECTS":
+            if key in cost:
+                raise FormatError(f"line {lineno}: duplicate project id {key!r}")
+            cost[key] = _rational(value, f"line {lineno}: bad cost")
+        else:
+            order.append(key)
+            votes[key] = value
     vote_type = meta.get("vote_type", "approval")
     if vote_type != "approval":
         raise FormatError(f"only approval ballots are supported, not {vote_type!r}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable
 
 
@@ -55,6 +56,12 @@ def as_fraction(value) -> Fraction:
         raise InputError(str(exc)) from exc
 
 
+def _distinct(objects):
+    """The distinct objects of a sequence, by identity, in order of first
+    appearance; nothing is hashed but the ids."""
+    return dict(zip(map(id, objects), objects)).values()
+
+
 def _scaled(values):
     """Integers over the values' least common denominator, and that
     denominator."""
@@ -82,18 +89,12 @@ class PBInstance:
         voters = tuple(sorted(voters))
         projects = tuple(sorted(projects))
         cost = {c: as_fraction(x) for c, x in cost.items()}
-        empty = {}
-        done = {}  # id(row) -> (row, held so its id is not reused; normalised row)
-        norm = {}
-        for v in voters:
-            row = utilities.get(v, empty)
-            seen = done.get(id(row))
-            if seen is None:
-                seen = done[id(row)] = (
-                    row,
-                    {c: as_fraction(row[c]) if c in row else ZERO for c in projects},
-                )
-            norm[v] = seen[1]
+        rows = list(map(utilities.get, voters, repeat({})))  # held: no id is reused
+        done = {  # id(row) -> normalised row
+            id(row): {c: as_fraction(row[c]) if c in row else ZERO for c in projects}
+            for row in _distinct(rows)
+        }
+        norm = dict(zip(voters, map(done.__getitem__, map(id, rows))))
         return PBInstance(voters, projects, cost, norm, as_fraction(budget), description)
 
     def utility(self, voter, project) -> Fraction:
@@ -170,16 +171,19 @@ def validate(instance: PBInstance) -> ValidationReport:
             report.add(f"missing cost for project {c}")
         elif instance.cost[c] <= 0:
             report.add(f"nonpositive cost for project {c}")
-    faults = {}  # id(row) -> the row's bad cells, each checked once
-    for v in instance.voters:
-        row = instance.utilities.get(v)
+    rows = list(map(instance.utilities.get, instance.voters))
+    faults = {  # id(row) -> the row's bad cells, each row checked once
+        id(row): _row_faults(row, instance.cost)
+        for row in _distinct(rows)
+        if row is not None
+    }
+    if None not in rows and not any(faults.values()):
+        return report
+    for v, row in zip(instance.voters, rows):
         if row is None:
             report.add(f"missing utilities for voter {v}")
             continue
-        bad = faults.get(id(row))
-        if bad is None:
-            bad = faults[id(row)] = _row_faults(row, instance.cost)
-        for unknown, c, u in bad:
+        for unknown, c, u in faults[id(row)]:
             if unknown:
                 report.add(f"utility for unknown project {c} (voter {v})")
             else:
@@ -187,18 +191,25 @@ def validate(instance: PBInstance) -> ValidationReport:
     return report
 
 
+def _in_range(u):
+    if isinstance(u, Fraction):
+        return 0 <= u.numerator <= u.denominator
+    return 0 <= u <= 1
+
+
 def _row_faults(row, cost):
     """(unknown, project, utility) for each bad cell of a utility row, in
-    row order: an unknown project, then (or instead) an out-of-range value."""
+    row order: an unknown project, then (or instead) an out-of-range value.
+
+    A row whose projects are all known is checked by its distinct value
+    objects, once each: cells share ``ZERO`` and ``ONE``."""
+    if row.keys() <= cost.keys() and all(map(_in_range, _distinct(row.values()))):
+        return []
     bad = []
     for c, u in row.items():
         if c not in cost:
             bad.append((True, c, u))
-        if isinstance(u, Fraction):
-            in_range = 0 <= u.numerator <= u.denominator
-        else:
-            in_range = 0 <= u <= 1
-        if not in_range:
+        if not _in_range(u):
             bad.append((False, c, u))
     return bad
 

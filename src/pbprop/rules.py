@@ -20,15 +20,18 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 
 from . import config
 from .model import (
+    ONE,
+    ZERO,
     CertificateError,
     EnumerationCapError,
     InputError,
     PBInstance,
     PreconditionError,
+    _distinct,
     _scaled,
     check_bundle,
 )
@@ -47,29 +50,42 @@ def _ballot_types(instance):
     Returns (rows, sizes, type_of): rows[k] maps the projects of ballot
     type k to their nonzero utilities, sizes[k] counts its voters, and
     type_of maps every voter, in voter order, to the index of its type.
-    Types are keyed by content, in order of first voter; the key is built
-    once per distinct row object, since voters may share one row.
+    Types are keyed by content, in order of first voter: a key holds
+    (project, numerator, denominator) per nonzero utility, so no Fraction
+    is hashed.  The key is built once per distinct row object, since
+    voters may share one row, and skips the shared ``ZERO`` by identity.
+    No rule is defined without voters: that raises InputError.
     """
-    index = {}
+    if not instance.voters:
+        raise InputError("no voters")
+    voter_rows = list(map(instance.utilities.__getitem__, instance.voters))
+    index = {}  # key -> type index
+    rows = []
     known = {}  # id(row) -> type index
-    type_of = {}
-    for v in instance.voters:
-        row = instance.utilities[v]
-        k = known.get(id(row))
-        if k is None:
-            key = tuple((c, u) for c, u in row.items() if u)
-            k = known[id(row)] = index.setdefault(key, len(index))
-        type_of[v] = k
-    sizes = [0] * len(index)
-    for k in type_of.values():
-        sizes[k] += 1
-    return [dict(key) for key in index], sizes, type_of
+    for row in _distinct(voter_rows):
+        nonzero = {c: u for c, u in row.items() if u is not ZERO and u}
+        key = tuple((c, u.numerator, u.denominator) for c, u in nonzero.items())
+        k = known[id(row)] = index.setdefault(key, len(rows))
+        if k == len(rows):
+            rows.append(nonzero)
+    type_of = dict(zip(instance.voters, map(known.__getitem__, map(id, voter_rows))))
+    counts = Counter(type_of.values())
+    return rows, [counts[k] for k in range(len(rows))], type_of
 
 
-def _per_voter(type_of, amounts):
-    """Spread per-type amounts {type: amount} over the types' voters, in
-    voter order."""
-    return {v: amounts[k] for v, k in type_of.items() if k in amounts}
+def _members(type_of, count):
+    """Each ballot type's voters as (position, voter, type), in voter order."""
+    members = [[] for _ in range(count)]
+    for i, (v, k) in enumerate(type_of.items()):
+        members[k].append((i, v, k))
+    return members
+
+
+def _per_voter(members, amounts):
+    """Spread per-type amounts {type: amount} over the types' voters
+    (``_members``), in voter order; only the paying types' voters are read."""
+    payers = sorted(chain.from_iterable(map(members.__getitem__, amounts)))
+    return {v: amounts[k] for _, v, k in payers}
 
 
 def _supporters(instance, rows):
@@ -78,7 +94,7 @@ def _supporters(instance, rows):
 
 
 def _require_approval(rows):
-    if any(u != 1 for row in rows for u in row.values()):
+    if any(u is not ONE and u != 1 for row in rows for u in row.values()):
         raise NotApprovalError(
             "this rule is only defined on approval instances; binarize first"
         )
@@ -107,7 +123,7 @@ def _next_purchase(bounds, price):
     if not priced:
         return None
     value, c = heappop(priced)
-    tied = tuple(cc for vv, cc in sorted(priced) if vv == value)
+    tied = tuple(sorted(cc for vv, cc in priced if vv == value))
     for entry in priced:
         heappush(bounds, entry)
     return value, c, tied
@@ -144,6 +160,7 @@ def phragmen(instance: PBInstance, collect_ties=False):
     """
     rows, sizes, type_of = _ballot_types(instance)
     _require_approval(rows)
+    members = _members(type_of, len(rows))
     reset_times = [Fraction(0)]
     last_reset = [0] * len(rows)  # index into reset_times, per type
     supporters = _supporters(instance, rows)
@@ -174,7 +191,7 @@ def phragmen(instance: PBInstance, collect_ties=False):
             trace.stop_reason = STOP_BUDGET
             break
         due = [t - r for r in reset_times]
-        payments = _per_voter(type_of, {k: due[last_reset[k]] for k in supporters[c]})
+        payments = _per_voter(members, {k: due[last_reset[k]] for k in supporters[c]})
         trace.events.append(
             PhragmenEvent(t, c, payments, tied if collect_ties else ())
         )
@@ -274,30 +291,46 @@ def _walk_rho(project, cost, contributors):
 
     ``contributors`` holds (rem, u, w): w voters, each with remaining money
     rem >= 0 and utility u > 0; entries with equal (rem, u) are merged
-    first.  Walks the sorted breakpoints rem / u of the piecewise-linear
+    first, keyed by their numerators and denominators, so no Fraction is
+    hashed.  Walks the sorted breakpoints rem / u of the piecewise-linear
     payment total; at a breakpoint the total is the same before and after
     the voters there are capped, so voters alike may be capped together.
+
+    The walk runs in integers: money (the cost and each rem) over one
+    denominator, utilities over another.  With money a and utility b so
+    scaled, the breakpoint is a / b times their ratio, and a / b ranks as
+    a * (L // b) for L the lcm of the b's.  Only the answer is a Fraction.
     """
-    alike = {}
+    alike = {}  # (rem, u) as integers -> total weight
     for rem, u, w in contributors:
-        alike[rem, u] = alike.get((rem, u), 0) + w
-    if sum((w * rem for (rem, _), w in alike.items()), Fraction(0)) < cost:
+        key = rem.numerator, rem.denominator, u.numerator, u.denominator
+        alike[key] = alike.get(key, 0) + w
+    money = math.lcm(cost.denominator, *(key[1] for key in alike))
+    unit = math.lcm(*(key[3] for key in alike))
+    due = cost.numerator * (money // cost.denominator)
+    scaled = [
+        (rn * (money // rd), un * (unit // ud), w)
+        for (rn, rd, un, ud), w in alike.items()
+    ]
+    if sum(w * a for a, _, w in scaled) < due:
         return None
-    breakpoints = sorted((rem / u, rem, u, w) for (rem, u), w in alike.items())
-    capped = Fraction(0)  # paid by voters already at their cap
-    slope = sum((w * u for (_, u), w in alike.items()), Fraction(0))
-    prev = Fraction(0)
-    for bp, rem, u, w in breakpoints:
-        # On [prev, bp) the payment total is capped + slope * rho.
-        if capped + slope * bp >= cost:
-            return (cost - capped) / slope
-        capped += w * rem
-        slope -= w * u
-        prev = bp
-    # Total equals cost exactly at the last breakpoint.
-    if capped != cost:
-        raise CertificateError(f"breakpoint walk for {project} ends at {capped}")
-    return prev
+    rank = math.lcm(*(b for _, b, _ in scaled))
+    breakpoints = sorted((a * (rank // b), a, b, w) for a, b, w in scaled)
+    capped = 0  # money paid by voters already at their cap
+    slope = sum(w * b for _, b, w in scaled)
+    for _, a, b, w in breakpoints:
+        # Below this breakpoint the payment total is capped + slope * rho,
+        # which reaches the cost by rho = a / b iff this holds:
+        if capped * b + slope * a >= due * b:
+            return Fraction((due - capped) * unit, slope * money)
+        capped += w * a
+        slope -= w * b
+    # Total equals cost exactly at the last breakpoint, a / b.
+    if capped != due:
+        raise CertificateError(
+            f"breakpoint walk for {project} ends at {Fraction(capped, money)}"
+        )
+    return Fraction(a * unit, b * money) if breakpoints else Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -326,11 +359,9 @@ def rule_x(instance: PBInstance, collect_ties=False):
     re-prices only the projects that can still be bought or tied
     (``_next_purchase``).
     """
-    n = len(instance.voters)
-    if not n:
-        raise InputError("no voters")
-    share = instance.budget / n
     rows, sizes, type_of = _ballot_types(instance)
+    share = instance.budget / len(instance.voters)
+    members = _members(type_of, len(rows))
     left = [share] * len(rows)
     supporters = _supporters(instance, rows)
 
@@ -353,7 +384,7 @@ def rule_x(instance: PBInstance, collect_ties=False):
             if p > 0:
                 charged[k] = p
                 left[k] -= p
-        payments = _per_voter(type_of, charged)
+        payments = _per_voter(members, charged)
         if _payment_total(payments) != instance.cost[c]:
             raise CertificateError(f"rule X payments for {c} do not sum to its cost")
         trace.rounds.append(RuleXRound(rho, c, payments, tied if collect_ties else ()))
@@ -365,5 +396,10 @@ def _payment_total(payments):
     """The sum of every voter's entry in a payment dict, as one product per
     distinct payment object: the voters of a ballot type share one."""
     counts = Counter(map(id, payments.values()))
-    objects = {id(p): p for p in payments.values()}
-    return sum((n * objects[i] for i, n in counts.items()), Fraction(0))
+    distinct = _distinct(payments.values())
+    den = math.lcm(*(p.denominator for p in distinct))
+    total = sum(
+        n * p.numerator * (den // p.denominator)
+        for n, p in zip(counts.values(), distinct)
+    )
+    return Fraction(total, den)

@@ -14,6 +14,7 @@ from pbprop import (
     check_pjr,
     check_priceable,
     check_strong_bpjr,
+    pav,
     phragmen,
     price_system_from_phragmen,
     random_instance,
@@ -255,6 +256,8 @@ def test_no_voters_is_an_input_error():
     inst = PBInstance.build([], ["c"], {"c": 1}, {}, 1)
     for call in (
         lambda: rule_x(inst),
+        lambda: phragmen(inst),
+        lambda: pav(inst),
         lambda: axioms.priceability_system(inst, {"c"}),
         lambda: check_priceable(inst, {"c"}),
     ):

@@ -163,6 +163,58 @@ def test_parse_pabulib_needs_budget_and_sections():
         parse_pabulib(PB_FILE.replace("a;p,q", "a;p,zz"))
 
 
+def pb_votes(projects_header, project_rows, votes_header, vote_rows):
+    """PB_FILE with its PROJECTS and VOTES sections replaced."""
+    head = PB_FILE.split("PROJECTS\n")[0]
+    return "\n".join(
+        [head + "PROJECTS", projects_header, *project_rows, "VOTES", votes_header, *vote_rows]
+    ) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # Extra columns.
+        pb_votes("project_id;name;cost", ["p;park;1", "q;quay;1"],
+                 "voter_id;age;vote", ["a;30;p,q", "b;41;q"]),
+        # Columns in another order.
+        pb_votes("cost;project_id", ["1;p", "1;q"], "vote;voter_id", ["p,q;a", "q;b"]),
+        # Spaces around fields and around whole lines.
+        pb_votes("project_id ; cost", [" p ;1", "q; 1 "], " voter_id;vote", ["a ; p,q", "  b;q  "]),
+        # CRLF line ends and blank lines.
+        PB_FILE.replace("\n", "\r\n").replace("VOTES", "\r\nVOTES\r\n").replace("b;q", "\r\nb;q"),
+        # A header that repeats a column name: a row reads the last column
+        # of that name it actually has.
+        pb_votes("project_id;cost;cost", ["p;1", "q;7;1"],
+                 "voter_id;vote;vote", ["a;p,q", "b;zz;q"]),
+    ],
+    ids=["extra-columns", "reordered", "spaces", "crlf-blank-lines", "repeated-column"],
+)
+def test_parse_pabulib_reads_columns_by_header(text):
+    assert parse_pabulib(text) == parse_pabulib(PB_FILE)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (pb_votes("project_id;cost", ["p;1", "q"], "voter_id;vote", ["a;p,q"]),
+         "line 9: row has no cost field"),
+        (pb_votes("project_id;cost", ["p;1", "q;1"], "voter_id;age;vote", ["a;30;p,q", "b;41"]),
+         "line 13: row has no vote field"),
+        (pb_votes("cost;project_id", ["1;p", "1"], "voter_id;vote", ["a;p"]),
+         "line 9: row has no project_id field"),
+        (pb_votes("project_id;cost", ["p;1"], "voter_id;vote;vote", ["a;p", "b"]),
+         "line 12: row has no vote field"),
+        (PB_FILE.replace("\n", "\r\n\r\n").replace("b;q", "b"),
+         "line 25: row has no vote field"),
+    ],
+    ids=["short-project", "short-vote", "no-project-id", "repeated-column", "crlf"],
+)
+def test_parse_pabulib_short_row_names_field_and_line(text, message):
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        parse_pabulib(text)
+
+
 def test_underfunded_election_selects_everything(tmp_path):
     from pbprop import phragmen
 

@@ -300,3 +300,45 @@ def test_phragmen_matches_per_voter_simulation():
             ties_seen += sum(bool(e.tied_with) for e in trace.events)
     # The many-round instances exercise the lazy re-pricing of later rounds.
     assert events_seen >= 1000 and ties_seen >= 300
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        [Fraction(2, 4), "1/2", Fraction(1, 2)],  # utilities in halves
+        [1, "1", Fraction(1)],  # unshared copies of one approval row
+    ],
+    ids=["halves", "approval-copies"],
+)
+def test_ballot_types_merge_equal_rows_built_apart(cells):
+    from pbprop import PBInstance
+    from pbprop.rules import _ballot_types
+
+    voters = ["v1", "v2", "v3"]
+    inst = PBInstance.build(
+        voters=voters,
+        projects=["p", "q", "r"],
+        cost={"p": 1, "q": "3/2", "r": 4},
+        utilities={v: {"p": u, "q": u} for v, u in zip(voters, cells)},
+        budget=3,
+    )
+    rows = [inst.utilities[v] for v in voters]
+    assert len({id(row) for row in rows}) == 3
+    assert len({id(row["p"]) for row in rows}) == 3
+    types, sizes, type_of = _ballot_types(inst)
+    assert sizes == [3] and list(type_of) == voters
+    winners, trace = rule_x(inst, collect_ties=True)
+    bundle, rounds = oracle_rule_x(inst)
+    assert winners == bundle and trace.rounds
+    assert [(r.rho, r.project, r.payments, r.tied_with) for r in trace.rounds] == rounds
+    for (_, _, payments, _), r in zip(rounds, trace.rounds):
+        assert list(r.payments) == list(payments) == voters
+    if inst.is_approval:
+        winners, trace = phragmen(inst, collect_ties=True)
+        bought, events, stop_time, stop_reason = literal_phragmen(inst)
+        assert winners == frozenset(bought) and trace.events
+        got = [(e.time, e.project, e.payments, e.tied_with) for e in trace.events]
+        assert got == events
+        for (_, _, payments, _), e in zip(events, trace.events):
+            assert list(e.payments) == list(payments) == voters
+        assert (trace.stop_time, trace.stop_reason) == (stop_time, stop_reason)
