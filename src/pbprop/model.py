@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 from typing import Iterable
 
 
@@ -89,12 +88,18 @@ class PBInstance:
         voters = tuple(sorted(voters))
         projects = tuple(sorted(projects))
         cost = {c: as_fraction(x) for c, x in cost.items()}
-        rows = list(map(utilities.get, voters, repeat({})))  # held: no id is reused
-        done = {  # id(row) -> normalised row
-            id(row): {c: as_fraction(row[c]) if c in row else ZERO for c in projects}
-            for row in _distinct(rows)
-        }
-        norm = dict(zip(voters, map(done.__getitem__, map(id, rows))))
+        empty = {}
+        done = {}  # id(row) -> (row, held so its id is not reused; normalised row)
+        norm = {}
+        for v in voters:
+            row = utilities.get(v, empty)
+            seen = done.get(id(row))
+            if seen is None:
+                seen = done[id(row)] = (
+                    row,
+                    {c: as_fraction(row[c]) if c in row else ZERO for c in projects},
+                )
+            norm[v] = seen[1]
         return PBInstance(voters, projects, cost, norm, as_fraction(budget), description)
 
     def utility(self, voter, project) -> Fraction:
@@ -171,19 +176,16 @@ def validate(instance: PBInstance) -> ValidationReport:
             report.add(f"missing cost for project {c}")
         elif instance.cost[c] <= 0:
             report.add(f"nonpositive cost for project {c}")
-    rows = list(map(instance.utilities.get, instance.voters))
-    faults = {  # id(row) -> the row's bad cells, each row checked once
-        id(row): _row_faults(row, instance.cost)
-        for row in _distinct(rows)
-        if row is not None
-    }
-    if None not in rows and not any(faults.values()):
-        return report
-    for v, row in zip(instance.voters, rows):
+    faults = {}  # id(row) -> the row's bad cells, each checked once
+    for v in instance.voters:
+        row = instance.utilities.get(v)
         if row is None:
             report.add(f"missing utilities for voter {v}")
             continue
-        for unknown, c, u in faults[id(row)]:
+        bad = faults.get(id(row))
+        if bad is None:
+            bad = faults[id(row)] = _row_faults(row, instance.cost)
+        for unknown, c, u in bad:
             if unknown:
                 report.add(f"utility for unknown project {c} (voter {v})")
             else:

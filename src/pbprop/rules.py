@@ -58,19 +58,24 @@ def _ballot_types(instance):
     """
     if not instance.voters:
         raise InputError("no voters")
-    voter_rows = list(map(instance.utilities.__getitem__, instance.voters))
     index = {}  # key -> type index
     rows = []
     known = {}  # id(row) -> type index
-    for row in _distinct(voter_rows):
-        nonzero = {c: u for c, u in row.items() if u is not ZERO and u}
-        key = tuple((c, u.numerator, u.denominator) for c, u in nonzero.items())
-        k = known[id(row)] = index.setdefault(key, len(rows))
-        if k == len(rows):
-            rows.append(nonzero)
-    type_of = dict(zip(instance.voters, map(known.__getitem__, map(id, voter_rows))))
-    counts = Counter(type_of.values())
-    return rows, [counts[k] for k in range(len(rows))], type_of
+    type_of = {}
+    for v in instance.voters:
+        row = instance.utilities[v]
+        k = known.get(id(row))
+        if k is None:
+            nonzero = {c: u for c, u in row.items() if u is not ZERO and u}
+            key = tuple((c, u.numerator, u.denominator) for c, u in nonzero.items())
+            k = known[id(row)] = index.setdefault(key, len(rows))
+            if k == len(rows):
+                rows.append(nonzero)
+        type_of[v] = k
+    sizes = [0] * len(rows)
+    for k in type_of.values():
+        sizes[k] += 1
+    return rows, sizes, type_of
 
 
 def _members(type_of, count):
