@@ -10,9 +10,10 @@ witness found is reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Optional
 
 from . import config, linsolve
@@ -31,6 +32,9 @@ from .model import (
 SATISFIED = "satisfied"
 VIOLATED = "violated"
 _ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
+# What a ``_group_search`` test returns for a group no superset of which
+# can violate.
+DEAD = object()
 
 
 def _check_caps(instance):
@@ -232,15 +236,26 @@ def _encode(instance, bundle):
 def _group_search(rows, supports, found):
     """The one voter-group walk behind EJR, PJR, bpjr and mwvpjr: returns
     (S, hit) for the first nonempty voter mask S, in increasing order,
-    with a non-None ``hit = found(|S|, low, high, inter, union)``, else
-    None.  ``low`` and ``high`` are the columnwise minimum and maximum of
-    the members' ``rows``; ``inter`` and ``union`` combine their
-    ``supports`` masks.  S's tables extend those of S minus its lowest
-    bit, the last mask of |S| - 1 members visited, so one table per size
-    is kept."""
+    with a ``hit = found(|S|, low, high, inter, union)`` other than None
+    and ``DEAD``, else None.  ``low`` and ``high`` are the columnwise
+    minimum and maximum of the members' ``rows``; ``inter`` and ``union``
+    combine their ``supports`` masks.  S's tables extend those of S minus
+    its lowest bit, the last mask of |S| - 1 members visited, so one table
+    per size is kept.
+
+    ``found`` answers ``DEAD`` when a test failed that can only fail again
+    on a superset of S, so that no superset of S is a hit.  The walk then
+    skips every mask whose chain of "minus its lowest bit" reaches S: the
+    masks S | y for nonempty y below S's lowest bit, which are exactly the
+    masks S + 1 .. S + lowbit(S) - 1 that follow S.  Each is a superset of
+    S, so none is a hit and the first hit is unchanged.  No later mask
+    extends a skipped one (its chain would pass through S, putting it in
+    the skipped range), so the one-table-per-size invariant holds."""
     tables = [None] * (len(supports) + 1)
-    for smask in range(1, 1 << len(supports)):
-        i = (smask & -smask).bit_length() - 1
+    smask, end = 1, 1 << len(supports)
+    while smask < end:
+        bit = smask & -smask
+        i = bit.bit_length() - 1
         size = smask.bit_count()
         # A lone member starts from its own rows; -1 masks every project.
         low, high, inter, union = tables[size - 1] or (rows[i], rows[i], -1, 0)
@@ -251,8 +266,12 @@ def _group_search(rows, supports, found):
             union | supports[i],
         )
         hit = found(size, *table)
-        if hit is not None:
+        if hit is DEAD:
+            smask += bit
+        elif hit is not None:
             return smask, hit
+        else:
+            smask += 1
     return None
 
 
@@ -265,11 +284,21 @@ def _cohesive_verdict(instance, bundle, ejr, up_to_one):
     T it affords violate iff sum alpha*(T) >= need: max uW_i + 1 over S for
     EJR, the covered sum + 1 for PJR, where up to one the 1 becomes
     max(1, best single addition).  Only the nonempty submasks T of supp =
-    {c : alpha*(c) > 0} are walked, in increasing order, and S is skipped
-    when sum alpha*(supp) < need.  The first witness is unchanged: dropping
-    the zero-threshold projects from a violating T keeps sum alpha* and does
-    not raise the cost, so T & supp violates too and, as a mask, is <= T.
-    The first violating T in full mask order is therefore a submask of supp.
+    {c : alpha*(c) > 0} are walked, in increasing order.  The first witness
+    is unchanged: dropping the zero-threshold projects from a violating T
+    keeps sum alpha* and does not raise the cost, so T & supp violates too
+    and, as a mask, is <= T.  The first violating T in full mask order is
+    therefore a submask of supp.
+
+    Two bounds skip groups with no violating T, so the first witness stays
+    the same.  When sum alpha*(supp) < need, S is ``DEAD``: a superset's
+    alpha* is pointwise no larger and its need no smaller (EJR's is a
+    maximum over more voters; PJR's ``need`` grows with the columnwise
+    maximum it reads), so the test fails for every superset as well.  When
+    K * max alpha* < need, where K is the largest k whose k cheapest
+    projects fit the share |S| * budget / n, no affordable T has more than K
+    projects and so none reaches need; S alone is skipped, since a larger
+    group's share admits more projects.
     """
     _check_caps(instance)
     rows, supports, chosen = _encode(instance, check_bundle(instance, bundle))
@@ -284,13 +313,17 @@ def _cohesive_verdict(instance, bundle, ejr, up_to_one):
     if ejr:  # one more column, each voter's need: the group's is its maximum
         rows = [row + [need(row)] for row in rows]
     costs, share, _ = _mask_costs(instance)
+    cheapest = [0, *accumulate(sorted(costs[1 << c] for c in range(m)))]
     sums = [0] * len(costs)
 
     def found(size, low, high, supp, union):
         goal = high[m] if ejr else need(high)
-        if sum(low[:m]) < goal:
-            return None
+        alpha = low[:m]
+        if sum(alpha) < goal:
+            return DEAD
         cap = size * share
+        if (bisect_right(cheapest, cap) - 1) * max(alpha) < goal:
+            return None
         t = 0
         while t := (t - supp) & supp:
             bit = t & -t
@@ -334,7 +367,10 @@ def check_mwv_pjr(instance: PBInstance, bundle) -> AxiomVerdict:
     """Committee-style PJR: every group owed ell commonly-approved seats
     must see at least ell of its union-approved projects selected.  A group
     seeing s of them is denied the levels in (s, min(|inter|, |S| k / n)],
-    so it violates iff s + 1, the level reported, lies in that interval."""
+    so it violates iff s + 1, the level reported, lies in that interval.
+    When s + 1 > |inter| the group is ``DEAD``: a superset's union sees at
+    least s selected projects and its intersection has no more common
+    ones, so its interval is empty too."""
     if not instance.is_mwv:
         raise PreconditionError("committee-style PJR requires an MWV instance")
     k = instance.committee_size()
@@ -345,7 +381,9 @@ def check_mwv_pjr(instance: PBInstance, bundle) -> AxiomVerdict:
 
     def found(size, low, high, inter, union):
         ell = (union & chosen).bit_count() + 1
-        if ell * n <= size * k and ell <= inter.bit_count():
+        if ell > inter.bit_count():
+            return DEAD
+        if ell * n <= size * k:
             return Fraction(ell)
 
     return _committee_verdict(instance, bundle, "mwvpjr", supports, found)
@@ -358,7 +396,10 @@ def check_strong_bpjr(instance: PBInstance, bundle) -> AxiomVerdict:
     For a fixed S the violating levels form the interval
     (cost(union & W), min(l, |S| l / n, cost(intersection))], so the
     interval-nonemptiness test is exact; the witness level is the
-    interval's upper end (|S| l / n <= l, so l never binds).
+    interval's upper end (|S| l / n <= l, so l never binds).  When
+    cost(union & W) >= cost(intersection) the group is ``DEAD``: a
+    superset's union & W costs no less and its intersection no more, so its
+    interval is empty too.
     """
     if not instance.is_approval:
         raise PreconditionError("budget-limit PJR requires an approval instance")
@@ -368,8 +409,11 @@ def check_strong_bpjr(instance: PBInstance, bundle) -> AxiomVerdict:
     costs, share, unit = _mask_costs(instance)
 
     def found(size, low, high, inter, union):
+        have = costs[union & chosen]
+        if have >= costs[inter]:
+            return DEAD
         bound = min(size * share, costs[inter])
-        if costs[union & chosen] < bound:
+        if have < bound:
             return Fraction(bound, unit)
 
     return _committee_verdict(instance, bundle, "bpjr", supports, found)

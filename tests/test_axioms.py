@@ -484,3 +484,93 @@ def test_first_witness_matches_definition_literal_search():
     for axiom in ("core", "ejr", "ejr1", "pjr", "pjr1", "bpjr", "mwvpjr"):
         assert seen.get((axiom, True)) and seen.get((axiom, False)), axiom
     assert zero_columns > 0
+
+
+def _typed_instance(rng, trial):
+    """n = 8 or 9 voters, each a copy of one of 2-4 ballots, so that many
+    groups are supersets of a group that cannot violate: approval,
+    committee (unit costs, integer k) or cardinal, m <= 5."""
+    n, m = rng.randint(8, 9), rng.randint(3, 5)
+    voters = [f"v{i}" for i in range(n)]
+    projects = [f"c{j}" for j in range(m)]
+    kind = trial % 3
+    if kind == 1:
+        cost = {c: 1 for c in projects}
+        budget = rng.randint(1, m)
+    else:
+        cost = {c: Fraction(rng.randint(1, 6), rng.choice((1, 2, 3))) for c in projects}
+        budget = Fraction(rng.randint(1, 16), 2)
+    levels = ("1",) if kind < 2 else ("1/3", "1/2", "2/3", "3/4", "1")
+    ballots = [
+        {c: rng.choice(levels) for c in projects if rng.random() < 0.5}
+        for _ in range(rng.randint(2, 4))
+    ]
+    utilities = {v: dict(rng.choice(ballots)) for v in voters}
+    return PBInstance.build(voters, projects, cost, utilities, budget)
+
+
+def test_first_witness_matches_definition_literal_search_on_repeated_ballots():
+    """The skipped groups of ``_group_search`` (supersets of a group that
+    cannot violate, and groups whose share buys too few projects) leave
+    every first witness as the definitions give it."""
+    rng = random.Random(15)
+    seen = {}
+    for trial in range(24):
+        inst = _typed_instance(rng, trial)
+        bundle = frozenset(c for c in inst.projects if rng.random() < 0.4)
+        committee = trial % 3 == 1
+        expected = _literal_cohesive_witnesses(inst, bundle)
+        if inst.is_approval:
+            expected.update(_literal_committee_witnesses(inst, bundle, committee))
+        checks = [
+            ("ejr", lambda: check_ejr(inst, bundle)),
+            ("ejr1", lambda: check_ejr(inst, bundle, up_to_one=True)),
+            ("pjr", lambda: check_pjr(inst, bundle)),
+            ("pjr1", lambda: check_pjr(inst, bundle, up_to_one=True)),
+        ]
+        if inst.is_approval:
+            checks.append(("bpjr", lambda: check_strong_bpjr(inst, bundle)))
+        if committee:
+            checks.append(("mwvpjr", lambda: check_mwv_pjr(inst, bundle)))
+        for axiom, checker in checks:
+            w = checker().witness
+            if w is None:
+                got = None
+            elif axiom in ("bpjr", "mwvpjr"):
+                got = (w.group, w.level)
+            else:
+                got = (w.group, w.target, w.alpha)
+            assert got == expected.get(axiom), (trial, axiom)
+            seen[axiom, got is None] = seen.get((axiom, got is None), 0) + 1
+    for axiom in ("ejr", "ejr1", "pjr", "pjr1", "bpjr", "mwvpjr"):
+        assert seen.get((axiom, True)) and seen.get((axiom, False)), axiom
+
+
+def test_unanimous_support_over_many_projects_is_satisfied():
+    """Every voter approves all 16 unit-cost projects, the budget buys 4 and
+    the bundle holds 4: each voter needs 5, while a group of s of the 8
+    voters affords at most s / 2 <= 4 projects.  The size bound settles
+    each group without walking its 65,535 targets."""
+    projects = [f"c{j:02d}" for j in range(16)]
+    voters = [f"v{i}" for i in range(8)]
+    utilities = {v: dict.fromkeys(projects, 1) for v in voters}
+    inst = PBInstance.build(voters, projects, dict.fromkeys(projects, 1), utilities, 4)
+    for checker in (check_ejr, check_pjr):
+        assert checker(inst, set(projects[:4])).satisfied
+
+
+def test_size_bound_skips_only_below_the_need():
+    """A group of s of the 4 voters affords at most K = s unit-cost
+    projects, every approval is 1 and W = {c0}, so EJR and PJR need 2.  The
+    pair {v0, v1} meets K * max alpha* = 2 = need exactly and violates with
+    T = {c0, c1}; a bound that also skipped at equality would report
+    {v0, v1, v2}."""
+    voters, projects = ["v0", "v1", "v2", "v3"], ["c0", "c1", "c2", "c3"]
+    utilities = {v: dict.fromkeys(projects[:3], 1) for v in voters}
+    inst = PBInstance.build(voters, projects, dict.fromkeys(projects, 1), utilities, 4)
+    bundle = frozenset({"c0"})
+    expected = _literal_cohesive_witnesses(inst, bundle)
+    for axiom, checker in (("ejr", check_ejr), ("pjr", check_pjr)):
+        w = checker(inst, bundle).witness
+        assert (w.group, w.target) == ({"v0", "v1"}, {"c0", "c1"})
+        assert (w.group, w.target, w.alpha) == expected[axiom]
