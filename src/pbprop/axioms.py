@@ -95,6 +95,8 @@ class AxiomVerdict:
         return self.status == SATISFIED
 
 
+# The witness validators read ``instance.utilities``, never the ballot-type
+# table the searches read, so that no check shares what it checks.
 def _names_known(instance, witness):
     """A nonempty group of known voters and a target of known projects."""
     voters, projects = set(instance.voters), set(instance.projects)
@@ -220,17 +222,20 @@ def _mask_costs(instance):
 
 def _encode(instance, bundle):
     """The integer form every subset search reads, with bit k standing for
-    projects[k]: (rows, supports, chosen), where rows[k] is voter k's
+    projects[k]: (rows, supports, chosen), where rows[i] is voter i's
     utility row as integers over one denominator common to all voters,
-    supports[k] the mask of voter k's positive-utility projects, and
-    chosen the bundle's mask."""
-    voters, projects, m = instance.voters, instance.projects, len(instance.projects)
-    flat, _ = _scaled([instance.utilities[v][c] for v in voters for c in projects])
-    rows = [flat[k * m : (k + 1) * m] for k in range(len(voters))]
+    supports[i] the mask of voter i's positive-utility projects, and
+    chosen the bundle's mask.  Only the ballot types' rows are scaled; the
+    voters of a type share its row and mask."""
+    projects, m = instance.projects, len(instance.projects)
+    types, _, type_of, _ = instance.ballot_types
+    flat, _ = _scaled([row.get(c, ZERO) for row in types for c in projects])
+    rows = [flat[k * m : (k + 1) * m] for k in range(len(types))]
     bits = [1 << c for c in range(m)]
     supports = [sum(compress(bits, row)) for row in rows]
     chosen = sum(compress(bits, [c in bundle for c in projects]))
-    return rows, supports, chosen
+    order = type_of.values()
+    return [rows[k] for k in order], [supports[k] for k in order], chosen
 
 
 def _group_search(rows, supports, found):
@@ -423,13 +428,18 @@ def _payment_var(voter, project):
     return f"p[{voter}][{project}]"
 
 
+def _liked(instance, projects):
+    """Per ballot type, its positive-utility projects among ``projects``."""
+    return [[c for c in projects if row.get(c, 0) > 0] for row in instance.ballot_types[0]]
+
+
 def priceability_system(instance: PBInstance, bundle, b_min_one=False):
     """Encode 'there is a price system supporting W' as a linear system.
 
     Variables: the initial budget b and one payment per (voter, selected
     project) pair with positive utility; payments for other pairs are
-    identically zero and omitted.  Each distinct utility row is compared
-    with zero once.
+    identically zero and omitted.  Each ballot type's row is compared with
+    zero once.
     """
     bundle = check_bundle(instance, bundle)
     n = len(instance.voters)
@@ -437,20 +447,14 @@ def priceability_system(instance: PBInstance, bundle, b_min_one=False):
         raise InputError("no voters")
     selected = sorted(bundle)
     unselected = [c for c in instance.projects if c not in bundle]
-    liked = {}  # id(utility row) -> its positive selected and unselected projects
+    liked = list(zip(_liked(instance, selected), _liked(instance, unselected)))
     pays = {}  # voter -> its payment variables
     payers = {c: {} for c in selected}  # project -> {payment variable: 1}
     supporters = {c: [] for c in unselected}
     system = linsolve.LinearSystem()
     system.add_variable("b", nonneg=True)
-    for v in instance.voters:
-        row = instance.utilities[v]
-        if id(row) not in liked:
-            liked[id(row)] = (
-                [c for c in selected if row[c] > 0],
-                [c for c in unselected if row[c] > 0],
-            )
-        inside, outside = liked[id(row)]
+    for v, k in instance.ballot_types[2].items():
+        inside, outside = liked[k]
         pays[v] = []
         for c in inside:
             var = _payment_var(v, c)
@@ -488,11 +492,11 @@ def check_priceable(instance: PBInstance, bundle, b_min_one=False) -> AxiomVerdi
             VIOLATED, witness="no supporting price system exists", mode=mode
         )
     point = result.assignment
-    selected = sorted(bundle)
-    payments = {}
-    for v in instance.voters:
-        row = instance.utilities[v]
-        payments[v] = {c: point[_payment_var(v, c)] for c in selected if row[c] > 0}
+    inside = _liked(instance, sorted(bundle))
+    payments = {
+        v: {c: point[_payment_var(v, c)] for c in inside[k]}
+        for v, k in instance.ballot_types[2].items()
+    }
     ps = PriceSystem(point["b"], payments)
     report = validate_price_system(instance, bundle, ps, b_min_one=b_min_one)
     if not report.ok:
@@ -503,7 +507,8 @@ def check_priceable(instance: PBInstance, bundle, b_min_one=False) -> AxiomVerdi
 def validate_price_system(
     instance: PBInstance, bundle, ps: PriceSystem, b_min_one=False
 ) -> ValidationReport:
-    """Exhaustive exact check of all price-system conditions for W.
+    """Exhaustive exact check of all price-system conditions for W, read
+    from ``instance.utilities``, never from the LP's ballot-type table.
 
     Each voter's total and in-bundle payments are summed once; the slack
     of an unselected project's supporters S is then

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
@@ -89,6 +90,7 @@ class PBInstance:
         projects = tuple(sorted(projects))
         cost = {c: as_fraction(x) for c, x in cost.items()}
         empty = {}
+        # Keyed by id, not content: raw cells ("1/2", 1) are not yet comparable.
         done = {}  # id(row) -> (row, held so its id is not reused; normalised row)
         norm = {}
         for v in voters:
@@ -111,11 +113,40 @@ class PBInstance:
     def approval_set(self, voter) -> frozenset:
         return frozenset(c for c in self.projects if self.utilities[voter][c] == 1)
 
+    @cached_property
+    def ballot_types(self):
+        """The one ballot-type table, built on first read and then kept, so
+        utility rows must not change after it: (rows, sizes, type_of,
+        members).  rows[k] holds type k's nonzero utilities, sizes[k] its
+        voter count, members[k] its (position, voter, k) entries and
+        type_of each voter's type, all in voter order.  Types are keyed by
+        content, in order of first voter, on (project, numerator,
+        denominator) per nonzero cell, one key per distinct row object.
+        """
+        index = {}  # key -> type index
+        rows = []
+        known = {}  # id(row) -> type index
+        type_of = {}
+        members = []
+        for i, v in enumerate(self.voters):
+            row = self.utilities[v]
+            k = known.get(id(row))
+            if k is None:
+                nonzero = {c: u for c, u in row.items() if u is not ZERO and u}
+                key = tuple((c, u.numerator, u.denominator) for c, u in nonzero.items())
+                k = known[id(row)] = index.setdefault(key, len(rows))
+                if k == len(rows):
+                    rows.append(nonzero)
+                    members.append([])
+            type_of[v] = k
+            members[k].append((i, v, k))
+        return rows, list(map(len, members)), type_of, members
+
     @property
     def is_approval(self) -> bool:
-        return all(
-            u in (0, 1) for row in self.utilities.values() for u in row.values()
-        )
+        """Every utility is 0 or 1: every nonzero cell of a type row is 1."""
+        rows = self.ballot_types[0]
+        return all(u is ONE or u == 1 for row in rows for u in row.values())
 
     @property
     def is_mwv(self) -> bool:
@@ -176,6 +207,7 @@ def validate(instance: PBInstance) -> ValidationReport:
             report.add(f"missing cost for project {c}")
         elif instance.cost[c] <= 0:
             report.add(f"nonpositive cost for project {c}")
+    # By row object, not ballot type: types drop unknown projects' zero cells.
     faults = {}  # id(row) -> the row's bad cells, each checked once
     for v in instance.voters:
         row = instance.utilities.get(v)
@@ -217,19 +249,15 @@ def _row_faults(row, cost):
 
 
 def binarize(instance: PBInstance, threshold) -> PBInstance:
-    """Approval specialization: utility 1 iff input utility >= threshold."""
+    """Approval specialization: utility 1 iff input utility >= threshold.
+    Each ballot type's row is mapped once and shared by its voters."""
     threshold = as_fraction(threshold)
     if not 0 < threshold <= 1:
         raise InputError(f"threshold {threshold} outside (0, 1]")
-    done = {}  # id(row) -> binarized row, so shared rows stay shared
-    utilities = {}
-    for v, row in instance.utilities.items():
-        new = done.get(id(row))
-        if new is None:
-            new = done[id(row)] = {
-                c: ONE if u >= threshold else ZERO for c, u in row.items()
-            }
-        utilities[v] = new
+    rows, _, type_of, _ = instance.ballot_types
+    projects = instance.projects
+    new = [{c: ONE if row.get(c, 0) >= threshold else ZERO for c in projects} for row in rows]
+    utilities = {v: new[k] for v, k in type_of.items()}
     return PBInstance(
         instance.voters,
         instance.projects,

@@ -3,9 +3,10 @@ search.
 
 Everything here is deliberately naive: nested loops over voter groups,
 project subsets and threshold assignments, with no pruning and no shared
-code with the production checkers.  These routines exist to differentially
-test the main checkers and to hunt for counterexamples to axiom
-implications; caps are small on purpose.
+code with the production checkers (utilities come from
+``instance.utilities``, never from the ballot-type table).  These routines
+exist to differentially test the main checkers and to hunt for
+counterexamples to axiom implications; caps are small on purpose.
 """
 
 from __future__ import annotations

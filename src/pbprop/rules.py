@@ -24,8 +24,6 @@ from itertools import accumulate, chain, combinations
 
 from . import config
 from .model import (
-    ONE,
-    ZERO,
     CertificateError,
     EnumerationCapError,
     InputError,
@@ -45,50 +43,17 @@ class NotApprovalError(PreconditionError):
 
 
 def _ballot_types(instance):
-    """Group voters whose nonzero utility rows are identical.
-
-    Returns (rows, sizes, type_of): rows[k] maps the projects of ballot
-    type k to their nonzero utilities, sizes[k] counts its voters, and
-    type_of maps every voter, in voter order, to the index of its type.
-    Types are keyed by content, in order of first voter: a key holds
-    (project, numerator, denominator) per nonzero utility, so no Fraction
-    is hashed.  The key is built once per distinct row object, since
-    voters may share one row, and skips the shared ``ZERO`` by identity.
-    No rule is defined without voters: that raises InputError.
-    """
+    """The instance's ballot types (``PBInstance.ballot_types``); no rule
+    is defined without voters, which raises InputError."""
     if not instance.voters:
         raise InputError("no voters")
-    index = {}  # key -> type index
-    rows = []
-    known = {}  # id(row) -> type index
-    type_of = {}
-    for v in instance.voters:
-        row = instance.utilities[v]
-        k = known.get(id(row))
-        if k is None:
-            nonzero = {c: u for c, u in row.items() if u is not ZERO and u}
-            key = tuple((c, u.numerator, u.denominator) for c, u in nonzero.items())
-            k = known[id(row)] = index.setdefault(key, len(rows))
-            if k == len(rows):
-                rows.append(nonzero)
-        type_of[v] = k
-    sizes = [0] * len(rows)
-    for k in type_of.values():
-        sizes[k] += 1
-    return rows, sizes, type_of
-
-
-def _members(type_of, count):
-    """Each ballot type's voters as (position, voter, type), in voter order."""
-    members = [[] for _ in range(count)]
-    for i, (v, k) in enumerate(type_of.items()):
-        members[k].append((i, v, k))
-    return members
+    return instance.ballot_types
 
 
 def _per_voter(members, amounts):
     """Spread per-type amounts {type: amount} over the types' voters
-    (``_members``), in voter order; only the paying types' voters are read."""
+    (the table's ``members``), in voter order; only the paying types'
+    voters are read."""
     payers = sorted(chain.from_iterable(map(members.__getitem__, amounts)))
     return {v: amounts[k] for _, v, k in payers}
 
@@ -98,8 +63,8 @@ def _supporters(instance, rows):
     return {c: [k for k, row in enumerate(rows) if c in row] for c in instance.projects}
 
 
-def _require_approval(rows):
-    if any(u is not ONE and u != 1 for row in rows for u in row.values()):
+def _require_approval(instance):
+    if not instance.is_approval:
         raise NotApprovalError(
             "this rule is only defined on approval instances; binarize first"
         )
@@ -163,9 +128,8 @@ def phragmen(instance: PBInstance, collect_ties=False):
     never falls, because resets only move forward, so each round re-prices
     only the projects that can still be bought or tied (``_next_purchase``).
     """
-    rows, sizes, type_of = _ballot_types(instance)
-    _require_approval(rows)
-    members = _members(type_of, len(rows))
+    rows, sizes, _, members = _ballot_types(instance)
+    _require_approval(instance)
     reset_times = [Fraction(0)]
     last_reset = [0] * len(rows)  # index into reset_times, per type
     supporters = _supporters(instance, rows)
@@ -217,8 +181,8 @@ def _pav_scorer(instance):
     """Check approval once and return (score, unit): score(bundle) is the
     PAV score of a bundle of projects times unit, an integer summed per
     ballot type as size * H(hits), with H scaled by unit = lcm(1..m)."""
-    rows, sizes, _ = _ballot_types(instance)
-    _require_approval(rows)
+    rows, sizes, _, _ = _ballot_types(instance)
+    _require_approval(instance)
     m = len(instance.projects)
     unit = math.lcm(*range(1, m + 1))
     scaled_h = list(accumulate((unit // i for i in range(1, m + 1)), initial=0))
@@ -364,9 +328,8 @@ def rule_x(instance: PBInstance, collect_ties=False):
     re-prices only the projects that can still be bought or tied
     (``_next_purchase``).
     """
-    rows, sizes, type_of = _ballot_types(instance)
+    rows, sizes, _, members = _ballot_types(instance)
     share = instance.budget / len(instance.voters)
-    members = _members(type_of, len(rows))
     left = [share] * len(rows)
     supporters = _supporters(instance, rows)
 

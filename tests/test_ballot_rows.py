@@ -11,7 +11,8 @@ import pytest
 
 from pbprop import PBInstance, binarize, pav, pav_score, validate
 from pbprop.io import FormatError, parse_pabulib
-from pbprop.rules import _ballot_types, harmonic
+from pbprop.model import ONE, ZERO
+from pbprop.rules import harmonic
 
 
 def literal_validate(instance):
@@ -198,7 +199,11 @@ def literal_types(instance):
         key = tuple((c, u) for c, u in instance.utilities[v].items() if u)
         type_of[v] = index.setdefault(key, len(index))
     sizes = [list(type_of.values()).count(k) for k in range(len(index))]
-    return [dict(key) for key in index], sizes, type_of
+    members = [
+        [(i, v, k) for i, (v, kk) in enumerate(type_of.items()) if kk == k]
+        for k in range(len(index))
+    ]
+    return [dict(key) for key in index], sizes, type_of, members
 
 
 def test_ballot_types_match_content_keying():
@@ -227,9 +232,46 @@ def test_ballot_types_match_content_keying():
             utilities,
             Fraction(2),
         )
-        rows, sizes, type_of = _ballot_types(inst)
-        assert (rows, sizes, type_of) == literal_types(inst)
+        rows, sizes, type_of, members = inst.ballot_types
+        assert (rows, sizes, type_of, members) == literal_types(inst)
         assert list(type_of) == voters
+        for k, entries in enumerate(members):
+            assert sizes[k] == len(entries)
+            assert [i for i, _, _ in entries] == sorted(i for i, _, _ in entries)
+            assert [voters[i] for i, _, _ in entries] == [v for _, v, _ in entries]
+
+
+def test_ballot_types_table_is_cached_and_invisible():
+    """The table is computed once per instance, changes neither == nor
+    repr, is recomputed for a binarized instance from its own rows, and
+    gives is_approval its cell-by-cell meaning."""
+    rng = random.Random(43)
+    shared = [ZERO, ONE]
+    verdicts = set()
+    for trial in range(200):
+        projects = [f"c{j}" for j in range(rng.randint(1, 4))]
+        voters = [f"v{i}" for i in range(rng.randint(1, 8))]
+        cells = shared + [Fraction(0), Fraction(1), 0, 1]
+        if trial % 2:
+            cells.append(Fraction(1, 2))
+        pool = [{c: rng.choice(cells) for c in projects} for _ in range(rng.randint(1, 3))]
+        utilities = {
+            v: rng.choice(pool) if rng.random() < 0.5 else dict(rng.choice(pool))
+            for v in voters
+        }
+        fields = (tuple(voters), tuple(projects), dict.fromkeys(projects, ONE), utilities, Fraction(2))
+        inst, twin = PBInstance(*fields), PBInstance(*fields)
+        text = repr(inst)
+        table = inst.ballot_types
+        assert inst.ballot_types is table
+        assert inst == twin and repr(inst) == text
+        literal = all(u in (0, 1) for v in voters for u in utilities[v].values())
+        assert inst.is_approval == literal
+        verdicts.add(literal)
+        approval = binarize(inst, rng.choice(["1/2", "1"]))
+        assert approval.ballot_types is not table
+        assert approval.ballot_types == literal_types(approval)
+    assert verdicts == {True, False}
 
 
 def literal_pav(instance):
@@ -271,12 +313,17 @@ def test_pav_per_type_matches_per_voter_score():
 
 def test_binarize_keeps_rows_shared():
     shared = {"p": "1/2", "q": "1/4"}
-    utilities = {"a": shared, "b": {"p": "3/4"}, "c": shared}
-    inst = PBInstance.build(["a", "b", "c"], ["p", "q"], {"p": 1, "q": 1}, utilities, 2)
-    approval = binarize(inst, "1/2")
-    rows = approval.utilities
-    assert rows["a"] is rows["c"] and rows["a"] is not rows["b"]
-    for v, row in inst.utilities.items():
-        assert rows[v] == {c: Fraction(1 if u >= Fraction(1, 2) else 0) for c, u in row.items()}
-    assert rows["a"]["p"] is rows["b"]["p"]
-    assert rows["a"]["q"] is rows["b"]["q"]
+    inputs = [
+        {"a": shared, "b": {"p": "3/4"}, "c": shared},
+        # Equal rows built apart fall into one ballot type, so share one row.
+        {"a": {"p": Fraction(2, 4)}, "b": {"p": "3/4"}, "c": {"p": "1/2"}},
+    ]
+    for utilities in inputs:
+        inst = PBInstance.build(["a", "b", "c"], ["p", "q"], {"p": 1, "q": 1}, utilities, 2)
+        approval = binarize(inst, "1/2")
+        rows = approval.utilities
+        assert rows["a"] is rows["c"] and rows["a"] is not rows["b"]
+        for v, row in inst.utilities.items():
+            assert rows[v] == {c: Fraction(1 if u >= Fraction(1, 2) else 0) for c, u in row.items()}
+        assert rows["a"]["p"] is rows["b"]["p"]
+        assert rows["a"]["q"] is rows["b"]["q"]

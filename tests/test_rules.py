@@ -311,8 +311,10 @@ def test_phragmen_matches_per_voter_simulation():
     ids=["halves", "approval-copies"],
 )
 def test_ballot_types_merge_equal_rows_built_apart(cells):
+    """Every reader of the ballot-type table sees one type for equal rows
+    built apart: the rules, ``binarize``, ``_encode`` and the LP."""
     from pbprop import PBInstance
-    from pbprop.rules import _ballot_types
+    from pbprop.axioms import _encode, priceability_system
 
     voters = ["v1", "v2", "v3"]
     inst = PBInstance.build(
@@ -325,8 +327,26 @@ def test_ballot_types_merge_equal_rows_built_apart(cells):
     rows = [inst.utilities[v] for v in voters]
     assert len({id(row) for row in rows}) == 3
     assert len({id(row["p"]) for row in rows}) == 3
-    types, sizes, type_of = _ballot_types(inst)
+    types, sizes, type_of, members = inst.ballot_types
     assert sizes == [3] and list(type_of) == voters
+    assert members == [[(i, v, 0) for i, v in enumerate(voters)]]
+    assert sizes[0] == len(members[0])
+    approval = binarize(inst, "1/2")
+    assert approval.utilities["v1"] is approval.utilities["v2"] is approval.utilities["v3"]
+    rows, supports, _ = _encode(inst, frozenset())
+    assert rows[0] == rows[1] == rows[2] and supports[0] == supports[1] == supports[2]
+    system = priceability_system(inst, {"p"})
+
+    def pattern(v):  # the voter's payment variables, and where each occurs
+        mine = f"p[{v}]"
+        names = [x.replace(mine, "p[*]") for x in system.variables if x.startswith(mine)]
+        rows = [
+            sorted((x.replace(mine, "p[*]"), a) for x, a in con.coeffs.items() if x.startswith(mine))
+            for con in system.constraints
+        ]
+        return names, [row for row in rows if row]
+
+    assert pattern("v1") == pattern("v2") == pattern("v3") != ([], [])
     winners, trace = rule_x(inst, collect_ties=True)
     bundle, rounds = oracle_rule_x(inst)
     assert winners == bundle and trace.rounds
