@@ -55,9 +55,13 @@ def _fmt_set(items) -> str:
 
 
 def _fmt_payments(payments: dict) -> str:
+    """The payments as ``key:amount`` in the dict's own order, which is
+    key order for every caller: a rule trace lists its payers in
+    ``instance.voters`` order, which ``PBInstance.build`` sorts, and a
+    price system's row lists its projects in ``sorted(bundle)`` order."""
     # The voters of one ballot type share one payment object: format it once.
     text = {id(p): str(p) for p in _distinct(payments.values())}
-    return " ".join([f"{v}:{text[id(p)]}" for v, p in sorted(payments.items())])
+    return " ".join([f"{v}:{text[id(p)]}" for v, p in payments.items()])
 
 
 def _report(*lines) -> str:

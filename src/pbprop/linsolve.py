@@ -8,12 +8,16 @@ point) that never builds a ``Fraction`` while it pivots.
 Each tableau row, the phase-I objective row included, is a sparse dict
 ``{column: nonzero int}`` over one positive integer denominator, with an
 integer right-hand side over the same denominator.  A pivot scales the
-pivot row's denominator to the pivot entry; every other row ``r`` with
-entry ``f`` in the entering column becomes ``r * p - f * pivot_row``
-(fraction-free, in the spirit of Bareiss 1968), touching the pivot row's
-nonzeros only, and is then divided by the gcd of its entries, right-hand
-side and denominator.  The ratio test compares ratios by cross-multiplying
-integers.
+pivot row's denominator to the pivot entry and divides the pivot row by
+the gcd of its entries, right-hand side and denominator.  Every other row
+``r`` with entry ``f`` in the entering column becomes
+``r * p - f * pivot_row`` (fraction-free, in the spirit of Bareiss 1968),
+touching the pivot row's nonzeros only.  Such a row is divided by its gcd
+only once its denominator exceeds ``_REDUCE_ABOVE``; below that it may
+carry a common factor, which changes no decision (see ``lp_feasible`` for
+the proof).  The rows with a nonzero in the entering column are found in
+one pass per pivot, and the ratio test and the elimination both read
+that list.  The ratio test compares ratios by cross-multiplying integers.
 
 Each constraint enters the tableau as its own integer row
 (``Constraint.scaled``: the row times the lcm of its denominators, which
@@ -137,6 +141,11 @@ def _satisfies(rows, assignment):
     return True
 
 
+# A row other than the pivot row is brought to lowest terms only above
+# this denominator: below it the gcds cost more than the longer integers.
+_REDUCE_ABOVE = 1 << 60
+
+
 def _reduced(row, rhs, den):
     # One gcd at a time, stopping at 1 (the common case); math.gcd(*row...)
     # costs as much and leaves a spare tuple on CPython's free lists per call.
@@ -153,7 +162,11 @@ def _reduced(row, rhs, den):
 def _eliminate(row, rhs, den, f, pivot, prhs, pden):
     """Real row - (f / den) * pivot row, where the pivot row is 1 in the
     entering column (its entry there equals pden).  The result is 0 in the
-    entering column."""
+    entering column.  It is divided by its gcd only when its denominator
+    exceeds ``_REDUCE_ABOVE``, so it may be k times its lowest terms, with
+    k dividing that denominator; ``lp_feasible`` says why that is exact
+    and why no integer gets more than 60 bits longer than in lowest
+    terms."""
     g = math.gcd(f, pden)
     p, f = pden // g, f // g
     if p != 1:
@@ -164,7 +177,10 @@ def _eliminate(row, rhs, den, f, pivot, prhs, pden):
             row[j] = a
         else:
             del row[j]
-    return _reduced(row, rhs * p - f * prhs, den * p)
+    rhs, den = rhs * p - f * prhs, den * p
+    if den > _REDUCE_ABOVE:
+        return _reduced(row, rhs, den)
+    return row, rhs, den
 
 
 def lp_feasible(system: LinearSystem) -> FeasibilityResult:
@@ -174,6 +190,31 @@ def lp_feasible(system: LinearSystem) -> FeasibilityResult:
     (variables declared nonnegative get a single column), every row is
     brought to equality form with a slack/surplus column, and a phase-I
     simplex minimises the sum of artificial variables.
+
+    Rows other than the pivot row are left out of lowest terms until their
+    denominator exceeds ``_REDUCE_ABOVE`` (``_eliminate``).  That returns
+    the same vertex as reducing every row after every pivot: a stored row
+    (entries, rhs, den) stands for the real row entries / den = rhs / den,
+    and an unreduced row is k times the reduced one for a positive integer
+    k, which leaves every decision alike:
+
+    - the objective row is scaled as a whole, so Dantzig's argmax and its
+      lowest-column tie-break, and Bland's sign test, pick the same column;
+    - the ratio test compares rhs_i / a_i, in which a row's k cancels, by
+      the cross-multiplied rhs_i * a_l < rhs_l * a_i of positive a's, so
+      its order and its ties are the same;
+    - the pivot row is brought to lowest terms over its pivot entry when
+      chosen, so the row multiplied into the others is the same integers;
+    - ``obj_val != 0`` and the ``Fraction(rhs, den)`` read back are the
+      same for any k.
+
+    Size: a stored row with den <= 2**60 is k times its lowest terms with
+    k dividing den, so k <= 2**60; above the bound it is reduced, k = 1.
+    Eliminating from such a row gives k * g / g' times the row the
+    always-reduced kernel builds before its gcd (g = gcd(f, pden) there,
+    g' = gcd(k * f, pden) here, and g divides g').  So no integer, stored
+    or intermediate, is more than 60 bits longer than with a gcd after
+    every pivot.
     """
     nvars = len(system.variables)
     max_vars, max_rows = config.LP_MAX_VARS, config.LP_MAX_CONSTRAINTS
@@ -246,12 +287,14 @@ def lp_feasible(system: LinearSystem) -> FeasibilityResult:
             enter = min((j for j, a in obj.items() if a > 0), default=None)
         if enter is None:
             break
+        # The rows with a nonzero in the entering column, in one pass.
+        column = [(i, t) for i, t in enumerate(rows) if enter in t[0]]
         # Ratio test rhs_i / a_i over a_i > 0 (the row denominators cancel),
         # cross-multiplied, ties broken by lowest basis variable index
         # (Bland).
         leave = None
-        for i, (row, rhs, _) in enumerate(rows):
-            a = row.get(enter, 0)
+        for i, (row, rhs, _) in column:
+            a = row[enter]
             if a > 0 and (
                 leave is None
                 or (rhs * best_a, basis[i]) < (best_rhs * a, basis[leave])
@@ -263,10 +306,9 @@ def lp_feasible(system: LinearSystem) -> FeasibilityResult:
             raise RuntimeError("phase-I simplex unbounded")
         row, rhs, _ = rows[leave]
         pivot, prhs, pden = rows[leave] = _reduced(row, rhs, row[enter])
-        for i, (row, rhs, den) in enumerate(rows):
-            f = row.get(enter)
-            if f is not None and i != leave:
-                rows[i] = _eliminate(row, rhs, den, f, pivot, prhs, pden)
+        for i, (row, rhs, den) in column:
+            if i != leave:
+                rows[i] = _eliminate(row, rhs, den, row[enter], pivot, prhs, pden)
         obj, obj_val, obj_den = _eliminate(
             obj, obj_val, obj_den, obj[enter], pivot, prhs, pden
         )

@@ -251,19 +251,24 @@ def min_rho(instance: PBInstance, paid_so_far, project):
         if rem < 0:
             raise ValueError(f"voter {v} overspent its share")
         contributors.append((rem, u, 1))
-    return _walk_rho(project, instance.cost[project], contributors)
+    money = math.lcm(*(rem.denominator for rem, _, _ in contributors))
+    contributors = [
+        (rem.numerator * (money // rem.denominator), u, w) for rem, u, w in contributors
+    ]
+    return _walk_rho(project, instance.cost[project], contributors, money)
 
 
-def _walk_rho(project, cost, contributors):
+def _walk_rho(project, cost, contributors, money):
     """Minimal rho >= 0 with sum_k w_k * min(rem_k, u_k * rho) = cost, or
     None when the contributors' remaining money falls short of the cost.
 
     ``contributors`` holds (rem, u, w): w voters, each with remaining money
-    rem >= 0 and utility u > 0; entries with equal (rem, u) are merged
-    first, keyed by their numerators and denominators, so no Fraction is
-    hashed.  Walks the sorted breakpoints rem / u of the piecewise-linear
-    payment total; at a breakpoint the total is the same before and after
-    the voters there are capped, so voters alike may be capped together.
+    rem / money >= 0 (rem an int, money a positive int) and utility u > 0;
+    entries with equal (rem, u) are merged first, keyed by integers, so no
+    Fraction is hashed.  Walks the sorted breakpoints rem / u of the
+    piecewise-linear payment total; at a breakpoint the total is the same
+    before and after the voters there are capped, so voters alike may be
+    capped together.
 
     The walk runs in integers: money (the cost and each rem) over one
     denominator, utilities over another.  With money a and utility b so
@@ -272,14 +277,15 @@ def _walk_rho(project, cost, contributors):
     """
     alike = {}  # (rem, u) as integers -> total weight
     for rem, u, w in contributors:
-        key = rem.numerator, rem.denominator, u.numerator, u.denominator
+        key = rem, u.numerator, u.denominator
         alike[key] = alike.get(key, 0) + w
-    money = math.lcm(cost.denominator, *(key[1] for key in alike))
-    unit = math.lcm(*(key[3] for key in alike))
+    grow = cost.denominator // math.gcd(money, cost.denominator)
+    money *= grow
+    unit = math.lcm(*(key[2] for key in alike))
     due = cost.numerator * (money // cost.denominator)
     scaled = [
-        (rn * (money // rd), un * (unit // ud), w)
-        for (rn, rd, un, ud), w in alike.items()
+        (rem * grow, un * (unit // ud), w)
+        for (rem, un, ud), w in alike.items()
     ]
     if sum(w * a for a, _, w in scaled) < due:
         return None
@@ -318,7 +324,8 @@ class RuleXTrace:
 def rule_x(instance: PBInstance, collect_ties=False):
     """Equal-shares purchase: repeatedly buy the project affordable at the
     smallest price-per-utility rho, charging min(remaining share, u * rho).
-    What each voter has left of its share is kept per ballot type.
+    What each voter has left of its share is kept per ballot type, as an
+    integer over one money denominator for all types.
 
     A project's rho never falls from one round to the next: a purchase
     only lowers remaining money, so sum_k w_k * min(rem_k, u_k * rho)
@@ -330,12 +337,14 @@ def rule_x(instance: PBInstance, collect_ties=False):
     """
     rows, sizes, _, members = _ballot_types(instance)
     share = instance.budget / len(instance.voters)
-    left = [share] * len(rows)
+    money = share.denominator
+    left = [share.numerator] * len(rows)
+    unit = math.lcm(*(u.denominator for row in rows for u in row.values()))
     supporters = _supporters(instance, rows)
 
     def price(c):
         contributors = [(left[k], rows[k][c], sizes[k]) for k in supporters[c]]
-        return _walk_rho(c, instance.cost[c], contributors)
+        return _walk_rho(c, instance.cost[c], contributors, money)
 
     bounds = [(0, c) for c in instance.projects]
     heapify(bounds)
@@ -346,11 +355,22 @@ def rule_x(instance: PBInstance, collect_ties=False):
         if found is None:
             break
         rho, c, tied = found
+        # Every charge u * rho is a whole number over money once money is a
+        # multiple of rho's denominator times every utility's.
+        grow = math.lcm(money, rho.denominator * unit) // money
+        if grow != 1:
+            money *= grow
+            left = [a * grow for a in left]
+        per_rho = money // rho.denominator
         charged = {}
+        paid = {}  # charge -> its Fraction, built once
         for k in supporters[c]:
-            p = min(left[k], rows[k][c] * rho)
+            u = rows[k][c]
+            p = min(left[k], u.numerator * rho.numerator * (per_rho // u.denominator))
             if p > 0:
-                charged[k] = p
+                if p not in paid:
+                    paid[p] = Fraction(p, money)
+                charged[k] = paid[p]
                 left[k] -= p
         payments = _per_voter(members, charged)
         if _payment_total(payments) != instance.cost[c]:

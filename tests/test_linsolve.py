@@ -3,13 +3,22 @@ Fourier-Motzkin decision of the same systems."""
 
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from pbprop import config
+from pbprop import config, linsolve
 from pbprop.axioms import priceability_system
-from pbprop.linsolve import EQ, GEQ, LEQ, LinearSystem, ResourceLimitError, lp_feasible
+from pbprop.linsolve import (
+    EQ,
+    GEQ,
+    LEQ,
+    Constraint,
+    LinearSystem,
+    ResourceLimitError,
+    lp_feasible,
+)
 from pbprop.oracle import GeneratorSpec, fm_feasible, random_instance
 
 
@@ -187,10 +196,11 @@ def test_cross_check_against_fourier_motzkin():
 GOLDEN_VERTICES = "5715fb6e643efbfa0390d87a13b6c1891965c23563d191815b54b998fe25b9f8"
 
 
-def test_priceability_vertices_are_pinned():
-    rng = random.Random(20261018)
-    lines = []
-    for trial in range(300):
+def _priceability_draws(rng, trials):
+    """(trial, system) for seeded priceability systems: approval and
+    cardinal instances of up to 12 voters and 8 projects, random bundles,
+    b >= 1 on every third."""
+    for trial in range(trials):
         spec = GeneratorSpec(
             max_voters=12,
             max_projects=8,
@@ -199,12 +209,104 @@ def test_priceability_vertices_are_pinned():
         )
         inst = random_instance(spec, rng)
         bundle = [c for c in inst.projects if rng.random() < 0.5]
-        result = lp_feasible(priceability_system(inst, bundle, b_min_one=trial % 3 == 0))
-        if result.feasible:
-            point = " ".join(f"{v}={x}" for v, x in sorted(result.assignment.items()))
-        else:
-            point = "infeasible"
-        lines.append(f"{trial} {point}")
+        yield trial, priceability_system(inst, bundle, b_min_one=trial % 3 == 0)
+
+
+def _point(result):
+    if not result.feasible:
+        return "infeasible"
+    return " ".join(f"{v}={x}" for v, x in sorted(result.assignment.items()))
+
+
+def test_priceability_vertices_are_pinned():
+    rng = random.Random(20261018)
+    lines = [
+        f"{trial} {_point(lp_feasible(sys_))}"
+        for trial, sys_ in _priceability_draws(rng, 300)
+    ]
     assert sum(line.endswith("infeasible") for line in lines) == 64
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == GOLDEN_VERTICES
+
+
+def test_rows_off_lowest_terms_give_the_same_vertex(monkeypatch):
+    """The kernel leaves rows other than the pivot row off lowest terms
+    until their denominator passes ``linsolve._REDUCE_ABOVE``.  That is
+    exact only if a tableau row times a positive integer k (its entries,
+    right-hand side and denominator alike, so the same real row) leads to
+    the same pivots.  Here every constraint's row enters the tableau k
+    times over, and neither the verdict nor the point may move.  (Scaling
+    a constraint's coefficients and right-hand side instead is a different
+    tableau row, whose slack and artificial keep their coefficient, and
+    may give another vertex.)"""
+    rng = random.Random(20261019)
+    draws = [
+        system(
+            variables,
+            _mixed_rows(rng, variables),
+            nonneg={v for v in variables if rng.random() < 0.5},
+        )
+        for variables in ([f"x{i}" for i in range(rng.randint(1, 4))] for _ in range(200))
+    ]
+    draws += [sys_ for _, sys_ in _priceability_draws(rng, 100)]
+    plain = [lp_feasible(sys_) for sys_ in draws]
+    assert {result.feasible for result in plain} == {True, False}
+
+    factors = {id(con): rng.randint(2, 10**6) for sys_ in draws for con in sys_.constraints}
+    scaled = Constraint.scaled
+
+    def scaled_up(con):
+        entries, rhs, den = scaled(con)
+        k = factors[id(con)]
+        return {v: a * k for v, a in entries.items()}, rhs * k, den * k
+
+    monkeypatch.setattr(Constraint, "scaled", scaled_up)
+    for trial, (sys_, want) in enumerate(zip(draws, plain)):
+        assert lp_feasible(sys_) == want, trial
+
+
+def _wide_system():
+    """Eight dense rows over eight nonnegative variables, coefficients
+    +-99 over denominators 1-9, feasible by construction: rows past the
+    reduction bound within a few pivots."""
+    rng = random.Random(20261019)
+    variables = [f"x{i}" for i in range(8)]
+    point = {v: Fraction(rng.randint(0, 9), rng.randint(1, 9)) for v in variables}
+    sys_ = system(variables, [], nonneg=variables)
+    for _ in range(8):
+        coeffs = {v: Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for v in variables}
+        value = sum(c * point[v] for v, c in coeffs.items())
+        relation = rng.choice([EQ, LEQ, GEQ])
+        slack = Fraction(rng.randint(0, 9), rng.randint(1, 9))
+        sys_.add(coeffs, relation, {LEQ: value + slack, GEQ: value - slack, EQ: value}[relation])
+    return sys_
+
+
+# sha256 of _point(lp_feasible(_wide_system())), from the kernel that
+# reduced every row after every pivot.
+GOLDEN_WIDE_VERTEX = "80537e23af5f26eac939323b9ee373a4002daba37e82e690338ec94e79671d69"
+
+
+def test_rows_past_the_reduction_bound_keep_the_vertex(monkeypatch):
+    eliminated, reduced = [], []
+    eliminate, reduce = linsolve._eliminate, linsolve._reduced
+
+    def counted_eliminate(*args):
+        eliminated.append(args[2])
+        return eliminate(*args)
+
+    def counted_reduce(row, rhs, den):
+        if sys._getframe(1).f_code.co_name == "_eliminate":
+            reduced.append(den)
+        return reduce(row, rhs, den)
+
+    monkeypatch.setattr(linsolve, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(linsolve, "_reduced", counted_reduce)
+    result = lp_feasible(_wide_system())
+    assert result.feasible
+    # Both branches ran: some eliminations left their row unreduced, and
+    # each one that reduced had passed the bound.
+    assert 0 < len(reduced) < len(eliminated)
+    assert all(den > linsolve._REDUCE_ABOVE for den in reduced)
+    digest = hashlib.sha256(_point(result).encode()).hexdigest()
+    assert digest == GOLDEN_WIDE_VERTEX
