@@ -291,9 +291,9 @@ def test_rows_past_the_reduction_bound_keep_the_vertex(monkeypatch):
     eliminated, reduced = [], []
     eliminate, reduce = linsolve._eliminate, linsolve._reduced
 
-    def counted_eliminate(*args):
-        eliminated.append(args[2])
-        return eliminate(*args)
+    def counted_eliminate(row, rhs, den, *pivot):
+        eliminated.append(den)
+        return eliminate(row, rhs, den, *pivot)
 
     def counted_reduce(row, rhs, den):
         if sys._getframe(1).f_code.co_name == "_eliminate":
