@@ -228,7 +228,7 @@ def _encode(instance, bundle):
     chosen the bundle's mask.  Only the ballot types' rows are scaled; the
     voters of a type share its row and mask."""
     projects, m = instance.projects, len(instance.projects)
-    types, _, type_of, _ = instance.ballot_types
+    types, _, type_of = instance.ballot_types
     flat, _ = _scaled([row.get(c, ZERO) for row in types for c in projects])
     rows = [flat[k * m : (k + 1) * m] for k in range(len(types))]
     bits = [1 << c for c in range(m)]
@@ -243,9 +243,9 @@ def _group_search(rows, supports, found):
     (S, hit) for the first nonempty voter mask S, in increasing order,
     with a ``hit = found(|S|, low, high, inter, union)`` other than None
     and ``DEAD``, else None.  ``low`` and ``high`` are the columnwise
-    minimum and maximum of the members' ``rows``; ``inter`` and ``union``
+    minimum and maximum of its voters' ``rows``; ``inter`` and ``union``
     combine their ``supports`` masks.  S's tables extend those of S minus
-    its lowest bit, the last mask of |S| - 1 members visited, so one table
+    its lowest bit, the last mask of |S| - 1 voters visited, so one table
     per size is kept.
 
     ``found`` answers ``DEAD`` when a test failed that can only fail again
@@ -430,7 +430,8 @@ def _payment_var(voter, project):
 
 def _liked(instance, projects):
     """Per ballot type, its positive-utility projects among ``projects``."""
-    return [[c for c in projects if row.get(c, 0) > 0] for row in instance.ballot_types[0]]
+    rows, _, _ = instance.ballot_types
+    return [[c for c in projects if row.get(c, 0) > 0] for row in rows]
 
 
 def priceability_system(instance: PBInstance, bundle, b_min_one=False):
@@ -448,12 +449,13 @@ def priceability_system(instance: PBInstance, bundle, b_min_one=False):
     selected = sorted(bundle)
     unselected = [c for c in instance.projects if c not in bundle]
     liked = list(zip(_liked(instance, selected), _liked(instance, unselected)))
+    _, _, type_of = instance.ballot_types
     pays = {}  # voter -> its payment variables
     payers = {c: {} for c in selected}  # project -> {payment variable: 1}
     supporters = {c: [] for c in unselected}
     system = linsolve.LinearSystem()
     system.add_variable("b", nonneg=True)
-    for v, k in instance.ballot_types[2].items():
+    for v, k in type_of.items():
         inside, outside = liked[k]
         pays[v] = []
         for c in inside:
@@ -493,10 +495,8 @@ def check_priceable(instance: PBInstance, bundle, b_min_one=False) -> AxiomVerdi
         )
     point = result.assignment
     inside = _liked(instance, sorted(bundle))
-    payments = {
-        v: {c: point[_payment_var(v, c)] for c in inside[k]}
-        for v, k in instance.ballot_types[2].items()
-    }
+    _, _, type_of = instance.ballot_types
+    payments = {v: {c: point[_payment_var(v, c)] for c in inside[k]} for v, k in type_of.items()}
     ps = PriceSystem(point["b"], payments)
     report = validate_price_system(instance, bundle, ps, b_min_one=b_min_one)
     if not report.ok:

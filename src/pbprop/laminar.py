@@ -71,8 +71,7 @@ def _first_component(voters, approvals):
 
 def _slice_cases(instance):
     """Check that the instance may be searched, and return its root slice
-    (None when it has no voters) with a memoized map from a slice to its
-    cases.
+    with a memoized map from a slice to its cases.
 
     A slice is a (voters, projects, budget) triple; only approved projects
     take part, since a project nobody approves can never appear in a
@@ -91,7 +90,8 @@ def _slice_cases(instance):
     a unanimous slice leaves it unanimous, so c is stacked only on a
     non-unanimous slice; a common project joins all voters into one
     component.  A voter approving nothing in the slice can never sit in a
-    unanimous block with positive budget, so such a slice has no case.
+    unanimous block with positive budget, so such a slice has no case, and
+    neither has a slice with no voters (only the root can have none).
     """
     if not instance.is_approval:
         raise PreconditionError("laminar recognition requires an approval instance")
@@ -108,7 +108,7 @@ def _slice_cases(instance):
         approvals = {v: approval[v] & projects for v in voters}
         sets = list(approvals.values())
         out = []
-        if all(sets):
+        if sets and all(sets):
             common = frozenset.intersection(*sets)
             if all(a == common for a in sets):
                 if instance.cost_of(projects) >= budget:
@@ -128,10 +128,7 @@ def _slice_cases(instance):
         memo[s] = out
         return out
 
-    voters = tuple(instance.voters)
-    if not voters:
-        return None, cases
-    return (voters, frozenset().union(*approval.values()), instance.budget), cases
+    return (tuple(instance.voters), frozenset().union(*approval.values()), instance.budget), cases
 
 
 def _fills_leaf(instance, s, w):
@@ -193,13 +190,13 @@ def recognize_laminar(instance: PBInstance):
     Takes the first case of each slice whose children are all laminar.
     """
     root, cases = _slice_cases(instance)
-    return None if root is None else _tree(cases, {}, root)
+    return _tree(cases, {}, root)
 
 
 def _laminar_tree(root, cases):
     """The certification tree of the root slice from its case table; raise
     NotLaminarError when there is none."""
-    tree = None if root is None else _tree(cases, {}, root)
+    tree = _tree(cases, {}, root)
     if tree is None:
         raise NotLaminarError("instance is not laminar")
     return tree
@@ -216,7 +213,7 @@ def is_laminar_proportional(instance: PBInstance, bundle) -> AxiomVerdict:
     underspend one wing lose priceability and core guarantees."""
     bundle = check_bundle(instance, bundle)
     root, cases = _slice_cases(instance)
-    if root is not None and _certifying(instance, cases, {}, root, bundle):
+    if _certifying(instance, cases, {}, root, bundle):
         return AxiomVerdict(SATISFIED)
     _laminar_tree(root, cases)
     return AxiomVerdict(VIOLATED, witness="no decomposition certifies the bundle")
@@ -251,7 +248,7 @@ def laminar_bundles(instance: PBInstance):
     project or a split certifies a bundle iff each of its children does;
     and ``_tree`` takes a case iff each of its children has a tree."""
     root, cases = _slice_cases(instance)
-    bundles = set() if root is None else _bundles(instance, cases, {}, root)
+    bundles = _bundles(instance, cases, {}, root)
     if not bundles:
         raise NotLaminarError("instance is not laminar")
     yield from sorted(bundles, key=lambda w: tuple(sorted(w)))
@@ -274,14 +271,14 @@ def _payments(instance, cases, memo, s, w):
 
 def laminar_price_system(instance: PBInstance, bundle):
     """Constructive supporting price system with initial budget cost(W),
-    assembled along the first decomposition that certifies W: leaf members
+    assembled along the first decomposition that certifies W: leaf voters
     split each selected project's cost evenly, a unanimous project is paid
     cost/n by its whole voter slice, and a split takes the disjoint union of
     its wings."""
     bundle = check_bundle(instance, bundle)
     root, cases = _slice_cases(instance)
     memo = {}
-    if root is None or not _certifying(instance, cases, memo, root, bundle):
+    if not _certifying(instance, cases, memo, root, bundle):
         _laminar_tree(root, cases)
         raise NotLaminarError("bundle is not laminar proportional")
     payments = _payments(instance, cases, memo, root, bundle)

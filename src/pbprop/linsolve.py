@@ -280,9 +280,8 @@ def lp_feasible(system: LinearSystem) -> FeasibilityResult:
     while True:
         iterations += 1
         if iterations <= dantzig_budget:
-            enter, top = max(obj.items(), key=lambda t: (t[1], -t[0]), default=(None, 0))
-            if top <= 0:
-                enter = None
+            top = max(obj.values(), default=0)
+            enter = min(j for j, a in obj.items() if a == top) if top > 0 else None
         else:
             enter = min((j for j, a in obj.items() if a > 0), default=None)
         if enter is None:

@@ -116,19 +116,18 @@ class PBInstance:
     @cached_property
     def ballot_types(self):
         """The one ballot-type table, built on first read and then kept, so
-        utility rows must not change after it: (rows, sizes, type_of,
-        members).  rows[k] holds type k's nonzero utilities, sizes[k] its
-        voter count, members[k] its (position, voter, k) entries and
-        type_of each voter's type, all in voter order.  Types are keyed by
+        utility rows must not change after it: (rows, sizes, type_of).
+        rows[k] holds type k's nonzero utilities, sizes[k] its voter count
+        and type_of each voter's type, in voter order.  Types are keyed by
         content, in order of first voter, on (project, numerator,
         denominator) per nonzero cell, one key per distinct row object.
         """
         index = {}  # key -> type index
         rows = []
+        sizes = []
         known = {}  # id(row) -> type index
         type_of = {}
-        members = []
-        for i, v in enumerate(self.voters):
+        for v in self.voters:
             row = self.utilities[v]
             k = known.get(id(row))
             if k is None:
@@ -137,15 +136,15 @@ class PBInstance:
                 k = known[id(row)] = index.setdefault(key, len(rows))
                 if k == len(rows):
                     rows.append(nonzero)
-                    members.append([])
+                    sizes.append(0)
             type_of[v] = k
-            members[k].append((i, v, k))
-        return rows, list(map(len, members)), type_of, members
+            sizes[k] += 1
+        return rows, sizes, type_of
 
     @property
     def is_approval(self) -> bool:
         """Every utility is 0 or 1: every nonzero cell of a type row is 1."""
-        rows = self.ballot_types[0]
+        rows, _, _ = self.ballot_types
         return all(u is ONE or u == 1 for row in rows for u in row.values())
 
     @property
@@ -254,7 +253,7 @@ def binarize(instance: PBInstance, threshold) -> PBInstance:
     threshold = as_fraction(threshold)
     if not 0 < threshold <= 1:
         raise InputError(f"threshold {threshold} outside (0, 1]")
-    rows, _, type_of, _ = instance.ballot_types
+    rows, _, type_of = instance.ballot_types
     projects = instance.projects
     new = [{c: ONE if row.get(c, 0) >= threshold else ZERO for c in projects} for row in rows]
     utilities = {v: new[k] for v, k in type_of.items()}

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, combinations
 
 from . import config
 from .model import (
@@ -50,12 +50,10 @@ def _ballot_types(instance):
     return instance.ballot_types
 
 
-def _per_voter(members, amounts):
-    """Spread per-type amounts {type: amount} over the types' voters
-    (the table's ``members``), in voter order; only the paying types'
-    voters are read."""
-    payers = sorted(chain.from_iterable(map(members.__getitem__, amounts)))
-    return {v: amounts[k] for _, v, k in payers}
+def _per_voter(type_of, amounts):
+    """Spread per-type amounts {type: amount} over the types' voters, in
+    voter order (the order of ``type_of``)."""
+    return {v: amounts[k] for v, k in type_of.items() if k in amounts}
 
 
 def _supporters(instance, rows):
@@ -128,7 +126,7 @@ def phragmen(instance: PBInstance, collect_ties=False):
     never falls, because resets only move forward, so each round re-prices
     only the projects that can still be bought or tied (``_next_purchase``).
     """
-    rows, sizes, _, members = _ballot_types(instance)
+    rows, sizes, type_of = _ballot_types(instance)
     _require_approval(instance)
     reset_times = [Fraction(0)]
     last_reset = [0] * len(rows)  # index into reset_times, per type
@@ -160,7 +158,7 @@ def phragmen(instance: PBInstance, collect_ties=False):
             trace.stop_reason = STOP_BUDGET
             break
         due = [t - r for r in reset_times]
-        payments = _per_voter(members, {k: due[last_reset[k]] for k in supporters[c]})
+        payments = _per_voter(type_of, {k: due[last_reset[k]] for k in supporters[c]})
         trace.events.append(
             PhragmenEvent(t, c, payments, tied if collect_ties else ())
         )
@@ -181,7 +179,7 @@ def _pav_scorer(instance):
     """Check approval once and return (score, unit): score(bundle) is the
     PAV score of a bundle of projects times unit, an integer summed per
     ballot type as size * H(hits), with H scaled by unit = lcm(1..m)."""
-    rows, sizes, _, _ = _ballot_types(instance)
+    rows, sizes, _ = _ballot_types(instance)
     _require_approval(instance)
     m = len(instance.projects)
     unit = math.lcm(*range(1, m + 1))
@@ -335,7 +333,7 @@ def rule_x(instance: PBInstance, collect_ties=False):
     re-prices only the projects that can still be bought or tied
     (``_next_purchase``).
     """
-    rows, sizes, _, members = _ballot_types(instance)
+    rows, sizes, type_of = _ballot_types(instance)
     share = instance.budget / len(instance.voters)
     money = share.denominator
     left = [share.numerator] * len(rows)
@@ -372,7 +370,7 @@ def rule_x(instance: PBInstance, collect_ties=False):
                     paid[p] = Fraction(p, money)
                 charged[k] = paid[p]
                 left[k] -= p
-        payments = _per_voter(members, charged)
+        payments = _per_voter(type_of, charged)
         if _payment_total(payments) != instance.cost[c]:
             raise CertificateError(f"rule X payments for {c} do not sum to its cost")
         trace.rounds.append(RuleXRound(rho, c, payments, tied if collect_ties else ()))

@@ -199,11 +199,7 @@ def literal_types(instance):
         key = tuple((c, u) for c, u in instance.utilities[v].items() if u)
         type_of[v] = index.setdefault(key, len(index))
     sizes = [list(type_of.values()).count(k) for k in range(len(index))]
-    members = [
-        [(i, v, k) for i, (v, kk) in enumerate(type_of.items()) if kk == k]
-        for k in range(len(index))
-    ]
-    return [dict(key) for key in index], sizes, type_of, members
+    return [dict(key) for key in index], sizes, type_of
 
 
 def test_ballot_types_match_content_keying():
@@ -232,13 +228,9 @@ def test_ballot_types_match_content_keying():
             utilities,
             Fraction(2),
         )
-        rows, sizes, type_of, members = inst.ballot_types
-        assert (rows, sizes, type_of, members) == literal_types(inst)
+        rows, sizes, type_of = inst.ballot_types
+        assert (rows, sizes, type_of) == literal_types(inst)
         assert list(type_of) == voters
-        for k, entries in enumerate(members):
-            assert sizes[k] == len(entries)
-            assert [i for i, _, _ in entries] == sorted(i for i, _, _ in entries)
-            assert [voters[i] for i, _, _ in entries] == [v for _, v, _ in entries]
 
 
 def test_ballot_types_table_is_cached_and_invisible():

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import random
+import shutil
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,9 @@ from pbprop import (
     GeneratorSpec,
     parse_instance,
     parse_pabulib,
+    phragmen,
     random_instance,
+    rule_x,
     serialize_instance,
 )
 import pbprop
@@ -26,6 +29,7 @@ from pbprop.fixtures import FIXTURES, get_fixture, tall_stack_bundle
 from pbprop.io import FormatError, load_instance
 from pbprop.laminar import generate_laminar
 from pbprop.registry import MAIN_CHECKERS
+from pbprop.rules import NotApprovalError
 
 INSTANCES = Path(pbprop.__file__).resolve().parent / "instances"
 
@@ -610,9 +614,36 @@ def test_paper_verify_fails_exactly_the_mutated_item(item, mutate, monkeypatch, 
     assert lines[-1] == "7/8 fixtures pass"
 
 
+def _election_text():
+    """A seeded .pb election: 10 projects, 60 voters, ballots drawn from 12
+    types (so they repeat) plus 20 drawn one by one."""
+    rng = random.Random(14)
+    projects = [f"p{j}" for j in range(10)]
+    types = [rng.sample(projects, rng.randint(1, 4)) for _ in range(12)]
+    ballots = [rng.choice(types) for _ in range(40)]
+    ballots += [rng.sample(projects, rng.randint(0, 5)) for _ in range(20)]
+    lines = ["META", "key;value", "vote_type;approval", "budget;2500", "PROJECTS", "project_id;cost"]
+    lines += [f"{c};{rng.randint(1, 9) * 100}" for c in projects]
+    lines += ["VOTES", "voter_id;vote"] + [f"v{i:02d};{','.join(b)}" for i, b in enumerate(ballots)]
+    return "\n".join(lines) + "\n"
+
+
+def _outcomes(instance):
+    """The bundles of Phragmen and Rule X, where each is defined, as
+    --bundle arguments."""
+    found = []
+    for rule in (phragmen, rule_x):
+        try:
+            found.append(",".join(sorted(rule(instance)[0])))
+        except NotApprovalError:
+            pass
+    return found
+
+
 def _pinned_sweep(gen_out):
     """The argv lists of the pinned CLI sweep: every subcommand on every
-    shipped instance, run by bare file name from the instances directory."""
+    shipped instance and on the seeded election.pb (``_election_text``),
+    run by bare file name from a directory that holds them."""
     axioms = sorted(set(MAIN_CHECKERS) - {"priceable1"})
     calls = []
     for path in sorted(INSTANCES.glob("*.json")):
@@ -629,7 +660,7 @@ def _pinned_sweep(gen_out):
                 calls.append(["check", axiom, name, "--bundle", bundle])
             calls.append(["check", "priceable", name, "--bundle", bundle, "--b-min", "1"])
         calls.append(["check", "core", name, "--bundle", "c1,zz"])
-    return calls + [
+    calls += [
         ["paper-verify"],
         ["search", "--assume", "ejr", "--conclude", "core", "--trials", "300"],
         ["search", "--assume", "pjr", "--conclude", "ejr", "--trials", "50"],
@@ -639,6 +670,35 @@ def _pinned_sweep(gen_out):
         ["run", "rulex", "two_camps.json", "--threshold", "1/0"],
         ["laminar", "missing.json"],
     ]
+    # Reports whose witnesses, payments or LP rows pass through sets and
+    # dicts, so that running the sweep under two hash seeds compares them:
+    # ties and a threshold together, more bundles (the first project, the
+    # first two, all of them and the rule outcomes) with both --b-min
+    # values, a longer search, and the election's rules and price systems.
+    more = [["search", "--assume", "pjr", "--conclude", "ejr", "--trials", "1500"]]
+    for path in sorted(INSTANCES.glob("*.json")):
+        name = path.name
+        for rule in ("phragmen", "pav", "rulex"):
+            more.append(["run", rule, name, "--all-ties", "--threshold", "1/2"])
+        instance = load_instance(path)
+        ids = sorted(instance.projects)
+        for bundle in ["", ids[0], ",".join(ids[:2]), ",".join(ids), *_outcomes(instance)]:
+            for b_min in ("0", "1"):
+                more.append(["check", "priceable", name, "--bundle", bundle, "--b-min", b_min])
+            for axiom in ("core", "ejr", "ejr1", "pjr", "pjr1", "bpjr", "mwvpjr"):
+                more.append(["check", axiom, name, "--bundle", bundle])
+    for rule in ("phragmen", "pav", "rulex"):
+        for extra in ([], ["--all-ties"], ["--threshold", "1/2"], ["--all-ties", "--threshold", "1/2"]):
+            more.append(["run", rule, "election.pb", *extra])
+    for bundle in _outcomes(parse_pabulib(_election_text())):
+        for b_min in ("0", "1"):
+            more.append(["check", "priceable", "election.pb", "--bundle", bundle, "--b-min", b_min])
+    seen = set(map(tuple, calls))
+    for argv in more:
+        if tuple(argv) not in seen:
+            seen.add(tuple(argv))
+            calls.append(argv)
+    return calls
 
 
 # One sha256 per call of _pinned_sweep over its exit status, stdout and
@@ -704,14 +764,43 @@ PINNED_REPORTS = (
     "0e3a878a52d2bae852d2bae8513fa27c494d3742b0ab129e54e62e118b8bd9fffa4c8b78"
     "4f5e7b2704dfac74908aedbfb8b2282bb8b2282b31b47ae9459c0d06d03abab22f2d7690"
     "8c1c59968c9ee5f3a3c28b91855ffc0247f70a4215c62cb815c62cb8d4b5c48c7202158c"
-    "f476f991fe67ebd2d46a698ab0efbbc4b18e9ba819fc57e7e0530ec1"
+    "f476f991fe67ebd2d46a698ab0efbbc4b18e9ba819fc57e7e0530ec16eea423cefb63926"
+    "696caa0b0b37b953d4ca706081017e65b93ec92bd1cb27ab53a03e6e059964094cb2f7c0"
+    "47db8c316ddc8baebc665eb544af9198e6864cf100ea6567ba47e2a5fd7d07c369f7fc3f"
+    "eb0f85d82bc129d8864fa55d0502fa14a26a1f3202c93be01eeb109acad0658edb97f7aa"
+    "bc665eb578507d3f6c9600cd24e556df536daf278624782c8f99f91d630f60f33400e41e"
+    "bc665eb5bf7a225750db3db5d81af1d27f0ff43549ed2f0b8a49b41cb3a443dff97609c5"
+    "ad61d008bc665eb5dc3db4e87c8147edf68c0d335908fbd26b7677a56b7677a52e77795e"
+    "90212ec9b5ec2e196e2fd805eceb3a7de14a6b5cb2d3b51a2428dc6a2428dc6a74e42c8a"
+    "38732ebdd9ac17e36d91cc64a1c4615769e3f034dcef4f71091838baf412dd63f412dd63"
+    "7c5b4d7889cd152a9af502e950d0529b2507417929042a0423732265a51eff069c4dd2a0"
+    "d3c6388b6752c15d77e6105b77e6105b346f1f1378098d06b4d2342493df694dbeb6d3cd"
+    "314e4a9bbc665eb53b0b7ea13b0b7ea1c970ba7cb761dd782aa346faefcdc3aa4f1360e6"
+    "277c191cbc665eb520d9e8d70d8d45320d8d45325993fc84bd52e3cd8febde29e1144996"
+    "8b65020fc62d8c74bc665eb5a40a866e78ed8276e81dd20136d0c5a7d7da1e2ed7da1e2e"
+    "9de363a2475ba0b71b04e9ea8ec381a96f5b72c945e8b804bc665eb55a2c74075a2c7407"
+    "8822d32acc48d0533a0604b7ea483ff1e16c266a3ba04e53bc665eb57d0e528cb019e217"
+    "b019e217a8ad7e1e0e106d90f209380cb243efa6fee41b00c3cbc18fbc665eb5a39ed6e8"
+    "3649a83ffb6d7544b9d8e87f5f57473abdf107912e3e2690f1bb8a61bc665eb5d97ad75d"
+    "6b7a9e6e695fcfaa2fe8e66e826fbeca826fbeca1300bb75864c2e3ada4854bc7f99db62"
+    "0d4fb0ee6ddc8baebc665eb5451165bb451165bbf62a660797e5e4582b8574f8d4bbd9f2"
+    "784f09946ddc8baebc665eb5881d8c14fe53a8f3283fd63d66118136b2a8eb50cc686200"
+    "cc6862009ae5b1ef414836ec21a1e3a0a3991aeaa705b49bd93432b24b6d8aa83e01ad73"
+    "3e01ad73afe8bfce0d9cddb9e9ce94922c8f38cbb9b3696150fc0cfb5251fa2715c62cb8"
+    "5a51677d5a51677d233cd593837ce8177f6c442a41ba7ad2106ab589876066485ab3cc52"
+    "23fb755523fb755523fb755523fb7555c725894ebc0a958dc725894ebc0a958d81e4f78e"
+    "81e4f78e81e4f78e81e4f78e3cbcedb93cbcedb9787bb95f787bb95f"
 )
 
 
 def test_cli_reports_are_pinned(monkeypatch, capsys, tmp_path):
     """Every report line, error message and exit status of a fixed sweep
-    stays byte for byte the same; a mismatch names the first changed call."""
-    monkeypatch.chdir(INSTANCES)
+    stays byte for byte the same; a mismatch names the first changed call.
+    CI runs it under two hash seeds, which must give the same reports."""
+    for path in INSTANCES.glob("*.json"):
+        shutil.copy(path, tmp_path)
+    (tmp_path / "election.pb").write_text(_election_text(), "utf-8")
+    monkeypatch.chdir(tmp_path)
     gen_out = tmp_path / "gen.json"
     sweep = _pinned_sweep(str(gen_out))
     digests, reports = [], []

@@ -177,10 +177,13 @@ def test_enumeration_matches_certification_over_all_bundles():
 def test_not_laminar_exactly_when_no_bundle_is_certified():
     """recognize_laminar answers None iff laminar_bundles raises iff
     is_laminar_proportional raises on a bundle: all three read one case
-    table, and a slice with a tree always certifies some bundle."""
+    table, and a slice with a tree always certifies some bundle.  An
+    instance with no voters is not laminar."""
     rng = random.Random(13)
     instances = [random_instance(GeneratorSpec(), rng) for _ in range(300)]
     instances += [generate_laminar(seed) for seed in range(40)]
+    empty = PBInstance.build([], ["c"], {"c": 1}, {}, 1)
+    instances.append(empty)
     kinds = set()
     for inst in instances:
         not_laminar = recognize_laminar(inst) is None
@@ -198,6 +201,10 @@ def test_not_laminar_exactly_when_no_bundle_is_certified():
             certification_raises = True
         assert not_laminar == enumeration_raises == certification_raises
     assert kinds == {True, False}
+    assert recognize_laminar(empty) is None
+    for call in (laminar_price_system, check_core_u_afford):
+        with pytest.raises(NotLaminarError, match="^instance is not laminar$"):
+            call(empty, set())
 
 
 def test_u_affordability_is_pointwise_cost_domination():

@@ -327,10 +327,9 @@ def test_ballot_types_merge_equal_rows_built_apart(cells):
     rows = [inst.utilities[v] for v in voters]
     assert len({id(row) for row in rows}) == 3
     assert len({id(row["p"]) for row in rows}) == 3
-    types, sizes, type_of, members = inst.ballot_types
+    types, sizes, type_of = inst.ballot_types
     assert sizes == [3] and list(type_of) == voters
-    assert members == [[(i, v, 0) for i, v in enumerate(voters)]]
-    assert sizes[0] == len(members[0])
+    assert type_of == dict.fromkeys(voters, 0)
     approval = binarize(inst, "1/2")
     assert approval.utilities["v1"] is approval.utilities["v2"] is approval.utilities["v3"]
     rows, supports, _ = _encode(inst, frozenset())
@@ -362,3 +361,34 @@ def test_ballot_types_merge_equal_rows_built_apart(cells):
         for (_, _, payments, _), e in zip(events, trace.events):
             assert list(e.payments) == list(payments) == voters
         assert (trace.stop_time, trace.stop_reason) == (stop_time, stop_reason)
+
+
+def test_payments_follow_voter_order_of_a_directly_built_instance():
+    """A PBInstance built directly may list its voters out of id order;
+    the rules' payment dicts still list the payers in ``instance.voters``
+    order, with the ballot types interleaved along it."""
+    from pbprop import PBInstance
+    from pbprop.model import ONE, ZERO
+
+    left = {"a": ONE, "b": ONE, "c": ZERO}
+    right = {"a": ZERO, "b": ONE, "c": ONE}
+    voters = ("v3", "v1", "v4", "v0", "v2")
+    rows = dict(zip(voters, [left, right, left, right, left]))
+    inst = PBInstance(
+        voters, ("a", "b", "c"), {"a": Fraction(2), "b": Fraction(5), "c": Fraction(2)},
+        rows, Fraction(9),
+    )
+    winners, trace = phragmen(inst, collect_ties=True)
+    bought, events, _, _ = literal_phragmen(inst)
+    assert winners == frozenset(bought) and "b" in winners
+    assert [(e.time, e.project, e.payments, e.tied_with) for e in trace.events] == events
+    for e in trace.events:
+        assert list(e.payments) == [v for v in voters if v in e.payments]
+    assert list(next(e for e in trace.events if e.project == "b").payments) == list(voters)
+    winners, trace = rule_x(inst, collect_ties=True)
+    bundle, rounds = oracle_rule_x(inst)
+    assert winners == bundle and "b" in winners
+    assert [(r.rho, r.project, r.payments, r.tied_with) for r in trace.rounds] == rounds
+    for r in trace.rounds:
+        assert list(r.payments) == [v for v in voters if v in r.payments]
+    assert list(next(r for r in trace.rounds if r.project == "b").payments) == list(voters)
