@@ -14,6 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, compress
+from operator import add
 from typing import Optional
 
 from . import config, linsolve
@@ -32,7 +33,7 @@ from .model import (
 SATISFIED = "satisfied"
 VIOLATED = "violated"
 _ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
-# What a ``_group_search`` test returns for a group no superset of which
+# What a ``_group_search`` test returns for a subset no superset of which
 # can violate.
 DEAD = object()
 
@@ -162,29 +163,6 @@ def validate_committee_witness(instance, bundle, witness, axiom) -> bool:
     raise ValueError(f"no committee witness for axiom {axiom!r}")
 
 
-def core_deviations(instance, bundle):
-    """Yield (group, target) for every nonempty target T, in increasing
-    mask order over the project ids, whose strict preferrers (the group,
-    nonempty) can afford T with their share of the budget.
-
-    Utilities are the integer rows of ``_encode``, summed per mask from
-    the mask without its lowest bit, and affordability is ``_mask_costs``'s
-    test; the utility tables grow only as far as the caller iterates."""
-    voters, projects = instance.voters, instance.projects
-    rows, _, chosen = _encode(instance, bundle)
-    gains = [[row[i] for row in rows] for i in range(len(projects))]
-    bundle_utility = [sum(_mask_members(chosen, row)) for row in rows]
-    costs, share, _ = _mask_costs(instance)
-    utilities = [[0] * len(voters)]
-    for mask in range(1, 1 << len(projects)):
-        low = mask & -mask
-        row = [a + b for a, b in zip(utilities[mask ^ low], gains[low.bit_length() - 1])]
-        utilities.append(row)
-        better = [v for v, a, w in zip(voters, row, bundle_utility) if a > w]
-        if better and costs[mask] <= len(better) * share:
-            yield frozenset(better), frozenset(_mask_members(mask, projects))
-
-
 def check_core(instance: PBInstance, bundle) -> AxiomVerdict:
     """A bundle is blocked by (S, T) when S can afford T with its share of
     the budget and every member strictly prefers T.  For each T the maximal
@@ -195,15 +173,33 @@ def check_core(instance: PBInstance, bundle) -> AxiomVerdict:
 
 
 def core_verdict(instance, bundle, admits=lambda group, target: True):
-    """Violated by the first deviation of ``core_deviations`` that
-    ``admits`` lets through, with its witness re-checked; else Satisfied."""
-    for group, target in core_deviations(instance, bundle):
-        if admits(group, target):
-            witness = CoreWitness(group, target)
-            if not validate_core_witness(instance, bundle, witness):
-                raise CertificateError(f"core witness fails: {witness}")
-            return AxiomVerdict(VIOLATED, witness)
-    return AxiomVerdict(SATISFIED)
+    """Violated by the first target T, in increasing mask order over the
+    project ids, whose strict preferrers (the group, nonempty) afford T
+    with their share of the budget and that ``admits`` lets through, with
+    its witness re-checked; else Satisfied.  T's table is its voters'
+    utilities, the integer rows of ``_encode`` summed; no T is ``DEAD``."""
+    voters, projects = instance.voters, instance.projects
+    rows, _, chosen = _encode(instance, bundle)
+    gains = [[row[i] for row in rows] for i in range(len(projects))]
+    bundle_utility = [sum(_mask_members(chosen, row)) for row in rows]
+    costs, share, _ = _mask_costs(instance)
+
+    def grow(row, i):
+        return gains[i] if row is None else list(map(add, row, gains[i]))
+
+    def found(mask, size, row):
+        better = [v for v, a, w in zip(voters, row, bundle_utility) if a > w]
+        if better and costs[mask] <= len(better) * share:
+            group, target = frozenset(better), frozenset(_mask_members(mask, projects))
+            if admits(group, target):
+                return CoreWitness(group, target)
+
+    hit = _group_search(len(projects), grow, found)
+    if hit is None:
+        return AxiomVerdict(SATISFIED)
+    if not validate_core_witness(instance, bundle, hit[1]):
+        raise CertificateError(f"core witness fails: {hit[1]}")
+    return AxiomVerdict(VIOLATED, hit[1])
 
 
 def _mask_costs(instance):
@@ -238,15 +234,14 @@ def _encode(instance, bundle):
     return [rows[k] for k in order], [supports[k] for k in order], chosen
 
 
-def _group_search(rows, supports, found):
-    """The one voter-group walk behind EJR, PJR, bpjr and mwvpjr: returns
-    (S, hit) for the first nonempty voter mask S, in increasing order,
-    with a ``hit = found(|S|, low, high, inter, union)`` other than None
-    and ``DEAD``, else None.  ``low`` and ``high`` are the columnwise
-    minimum and maximum of its voters' ``rows``; ``inter`` and ``union``
-    combine their ``supports`` masks.  S's tables extend those of S minus
-    its lowest bit, the last mask of |S| - 1 voters visited, so one table
-    per size is kept.
+def _group_search(n, grow, found):
+    """The one subset walk behind the core, EJR, PJR, bpjr and mwvpjr:
+    returns (S, hit) for the first nonempty mask S over n elements, in
+    increasing order, with a ``hit = found(S, |S|, table)`` other than None
+    and ``DEAD``, else None.  S's table is ``grow(table, i)``: the table of
+    S minus its lowest bit i (None for the empty set), the last mask of
+    |S| - 1 elements visited, extended by element i, so one table per size
+    is kept.
 
     ``found`` answers ``DEAD`` when a test failed that can only fail again
     on a superset of S, so that no superset of S is a hit.  The walk then
@@ -256,21 +251,13 @@ def _group_search(rows, supports, found):
     S, so none is a hit and the first hit is unchanged.  No later mask
     extends a skipped one (its chain would pass through S, putting it in
     the skipped range), so the one-table-per-size invariant holds."""
-    tables = [None] * (len(supports) + 1)
-    smask, end = 1, 1 << len(supports)
+    tables = [None] * (n + 1)
+    smask, end = 1, 1 << n
     while smask < end:
         bit = smask & -smask
-        i = bit.bit_length() - 1
         size = smask.bit_count()
-        # A lone member starts from its own rows; -1 masks every project.
-        low, high, inter, union = tables[size - 1] or (rows[i], rows[i], -1, 0)
-        table = tables[size] = (
-            list(map(min, low, rows[i])),
-            list(map(max, high, rows[i])),
-            inter & supports[i],
-            union | supports[i],
-        )
-        hit = found(size, *table)
+        table = tables[size] = grow(tables[size - 1], bit.bit_length() - 1)
+        hit = found(smask, size, table)
         if hit is DEAD:
             smask += bit
         elif hit is not None:
@@ -321,7 +308,12 @@ def _cohesive_verdict(instance, bundle, ejr, up_to_one):
     cheapest = [0, *accumulate(sorted(costs[1 << c] for c in range(m)))]
     sums = [0] * len(costs)
 
-    def found(size, low, high, supp, union):
+    def grow(table, i):  # a lone member starts from its own rows and support
+        low, high, supp = table or (rows[i], rows[i], -1)
+        return list(map(min, low, rows[i])), list(map(max, high, rows[i])), supp & supports[i]
+
+    def found(_, size, table):
+        low, high, supp = table
         goal = high[m] if ejr else need(high)
         alpha = low[:m]
         if sum(alpha) < goal:
@@ -336,7 +328,7 @@ def _cohesive_verdict(instance, bundle, ejr, up_to_one):
             if s >= goal and costs[t] <= cap:
                 return t
 
-    hit = _group_search(rows, supports, found)
+    hit = _group_search(len(rows), grow, found)
     mode = {"up_to_one": up_to_one}
     if hit is None:
         return AxiomVerdict(SATISFIED, mode=mode)
@@ -358,7 +350,11 @@ def check_pjr(instance: PBInstance, bundle, up_to_one=False) -> AxiomVerdict:
 
 
 def _committee_verdict(instance, bundle, axiom, supports, found):
-    hit = _group_search([[]] * len(supports), supports, found)
+    def grow(table, i):  # approval (intersection, union); -1 masks every project
+        inter, union = table or (-1, 0)
+        return inter & supports[i], union | supports[i]
+
+    hit = _group_search(len(supports), grow, found)
     if hit is None:
         return AxiomVerdict(SATISFIED)
     group = frozenset(_mask_members(hit[0], instance.voters))
@@ -384,7 +380,8 @@ def check_mwv_pjr(instance: PBInstance, bundle) -> AxiomVerdict:
     _, supports, chosen = _encode(instance, bundle)
     n = len(instance.voters)
 
-    def found(size, low, high, inter, union):
+    def found(_, size, table):
+        inter, union = table
         ell = (union & chosen).bit_count() + 1
         if ell > inter.bit_count():
             return DEAD
@@ -413,7 +410,8 @@ def check_strong_bpjr(instance: PBInstance, bundle) -> AxiomVerdict:
     _, supports, chosen = _encode(instance, bundle)
     costs, share, unit = _mask_costs(instance)
 
-    def found(size, low, high, inter, union):
+    def found(_, size, table):
+        inter, union = table
         have = costs[union & chosen]
         if have >= costs[inter]:
             return DEAD

@@ -1,6 +1,7 @@
 """Axiom checkers: fixture verdicts, witness validity, price systems."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -247,6 +248,17 @@ def test_price_system_validation_catches_violations():
     assert validate_price_system(inst, w, stranger).problems == [
         "payments by unknown voter zz"
     ]
+    # Strict mode's floor on the budget, a negative payment, a payment to an
+    # unselected project, and supporters left with slack above its cost.
+    negative = {**good.payments, "s1": {"t2": Fraction(-1, 5)}}
+    unselected = {**good.payments, "s1": {"t1": Fraction(1, 10)}}
+    for ps, bundle, strict, problem in (
+        (type(good)(Fraction(1, 2), {}), set(), True, "initial budget 1/2 below 1 (strict mode)"),
+        (type(good)(1, negative), w, False, "negative payment p_s1(t2) = -1/5"),
+        (type(good)(1, unselected), w, False, "unselected project t1 receives payment 1/10"),
+        (type(good)(1, {}), set(), False, "supporters of unselected t1 hold slack 2/5 > cost 1/5"),
+    ):
+        assert problem in validate_price_system(inst, bundle, ps, b_min_one=strict).problems
     # An int initial budget is exact too: each voter's share stays a Fraction.
     assert good.initial_budget == 1
     assert validate_price_system(inst, w, type(good)(1, good.payments)).ok
@@ -304,6 +316,14 @@ def test_phragmen_trace_to_price_system():
     winners, trace = phragmen(inst)
     ps = price_system_from_phragmen(inst, trace)
     assert validate_price_system(inst, winners, ps).ok
+    # A trace that names a project or a voter the instance lacks is refused.
+    first = trace.events[0]
+    for event, message in (
+        (replace(first, project="zz"), "trace mentions unknown project zz"),
+        (replace(first, payments={"zz": Fraction(1)}), "trace mentions unknown voter zz"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            price_system_from_phragmen(inst, replace(trace, events=[event]))
 
 
 def test_checkers_judge_over_budget_bundles_as_given():

@@ -500,6 +500,10 @@ def test_cli_usage_errors(capsys, tmp_path):
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and f"argument {flag}: " in err and "below the minimum" in err
+    # A count that is not an integer names the flag and the text given.
+    assert main(["gen", "random", "--seed", "1", "--max-voters", "abc"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --max-voters: invalid int value: 'abc'" in err
 
 
 def test_cli_reports_are_deterministic(quartet_file, capsys):

@@ -130,6 +130,12 @@ def test_variable_cap(monkeypatch):
     sys_ = system(["a", "b", "c"], [({"a": 1}, LEQ, 0)])
     with pytest.raises(ResourceLimitError):
         lp_feasible(sys_)
+    # The constraint cap, lowered below the row count, is checked as well.
+    monkeypatch.setattr(config, "LP_MAX_VARS", 3)
+    monkeypatch.setattr(config, "LP_MAX_CONSTRAINTS", 1)
+    sys_.add({"b": 1}, LEQ, 0)
+    with pytest.raises(ResourceLimitError, match="^2 constraints exceeds cap 1$"):
+        lp_feasible(sys_)
 
 
 def _as_fm_rows(sys_):

@@ -143,6 +143,19 @@ def test_validate_flags_problems():
     assert "nonpositive budget" in text
     assert "nonpositive cost" in text
     assert "out of [0,1]" in text
+    # A project id given twice, one shared with a voter, and one without a cost.
+    clash = PBInstance(
+        voters=("a",),
+        projects=("p", "p", "a", "q"),
+        cost={"p": Fraction(1), "a": Fraction(1)},
+        utilities={"a": {}},
+        budget=Fraction(1),
+    )
+    assert validate(clash).problems == [
+        "duplicate project id",
+        "voter and project ids overlap",
+        "missing cost for project q",
+    ]
 
 
 def test_validate_accepts_well_formed():

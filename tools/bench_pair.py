@@ -7,12 +7,13 @@ Unpacks the src/ tree of each commit (git archive) into its own temporary
 directory and copies this checkout's perfbench/ next to each, so both
 sides run the same benchmark code.  Each round runs every workload once
 per side, the side that goes first alternating from round to round, and
-reads the JSON object that perfbench/run.py prints last.  The output file
-holds the two commits, the machine, the Python version, the settings and,
-per workload and side, every run's end-to-end metrics (as BENCHMARK.json
-names them) with their median and quartiles, whether every output was
-correct and how many operations failed, and in how many rounds HEAD read
-better than BASE on each metric.  Standard library only.
+reads the JSON object that perfbench/run.py prints last.  The workloads
+and the end-to-end metrics are the ones BENCHMARK.json names.  The output
+file holds the two commits, the machine, the Python version, the settings
+and, per workload and side, every run's end-to-end metrics with their
+median and quartiles, whether every output was correct and how many
+operations failed, and in how many rounds HEAD read better than BASE on
+each metric.  Standard library only.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ import tempfile
 from datetime import datetime, timezone
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("pabulib-rules", "pabulib-priceability", "axiom-sweep", "laminar")
+with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+    BENCHMARK = json.load(fh)
+WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
 
 
 def git(*args) -> str:
@@ -98,8 +101,7 @@ def main(argv=None):
     if args.rounds < 2:
         parser.error("--rounds must be at least 2 (quartiles need two runs)")
     workloads = args.workload or list(WORKLOADS)
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    better = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
     sides = {side: git("rev-parse", "--verify", f"{commit}^{{commit}}")
              for side, commit in (("base", args.base), ("head", args.head))}
     runs = {w: {side: [] for side in sides} for w in workloads}
