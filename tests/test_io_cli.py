@@ -107,6 +107,26 @@ def test_parse_rejects_bad_input():
         FormatError, match=r"^meta: bad rational '1/0' \(Fraction\(1, 0\)\)$"
     ):
         parse_instance('{"meta": {"budget": "1/0"}}')
+    head = '{"meta": {"budget": "1"}, "projects": [{"id": "p", "cost": "1"}], '
+    for parse, text, message in [
+        (parse_instance, '{"meta": {"budget": "1"}, "projects": ["p"]}',
+         r"projects\[0\]: expected an object with an id"),
+        (parse_instance, head + '"voters": [["a"]]}',
+         r"voters\[0\]: expected an object with an id"),
+        (parse_instance, head + '"voters": [{"id": "a"}, {"id": "a"}]}',
+         r"voters\[1\]: duplicate voter id 'a'"),
+        (parse_instance, head + '"voters": [{"id": "a", "utilities": ["p"]}]}',
+         r"voters\[0\]: utilities must be an object"),
+        (parse_pabulib, PB_FILE.replace("budget;2", "budget"),
+         "line 4: META rows need key;value"),
+        (parse_pabulib, PB_FILE.replace("project_id;cost", "project_id;price"),
+         "line 7: PROJECTS header needs project_id and cost"),
+        (parse_pabulib, PB_FILE.replace("voter_id;vote", "voter;vote"),
+         "line 11: VOTES header needs voter_id and vote"),
+        (parse_pabulib, PB_FILE.replace("q;1", "q;0"), "nonpositive cost for project q"),
+    ]:
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            parse(text)
 
 
 def test_fixtures_round_trip():
@@ -391,8 +411,8 @@ def test_cli_bad_cap_value_exits_2(argv, var, value):
 
 
 def test_cli_malformed_input_exits_2_not_1(tmp_path):
-    """Each of these once ended in a traceback with exit status 1, the
-    status of a Violated verdict."""
+    """Malformed input exits 2, never 1, the status of a Violated verdict.
+    All but the zero cost once ended in a traceback with exit status 1."""
     json_text = '{"meta": {"budget": "1"}, "projects": [], "voters": []}'
     runs = {
         "budget.pb": (PB_FILE.replace("budget;2", "budget;1/0"), []),
@@ -401,6 +421,7 @@ def test_cli_malformed_input_exits_2_not_1(tmp_path):
         "projects.json": (json_text.replace('"projects": []', '"projects": 5'), []),
         "voters.json": (json_text.replace('"voters": []', '"voters": 5'), []),
         "threshold.json": (MINIMAL, ["--threshold", "1/0"]),
+        "zero-cost.pb": (PB_FILE.replace("q;1", "q;0"), []),
     }
     for name, (text, flags) in runs.items():
         path = tmp_path / name
@@ -439,6 +460,14 @@ def test_cli_failed_self_check_exits_3(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: core witness fails: CoreWitness(")
+
+    # The LP's read-back check of its own point fails the same way.
+    from pbprop import linsolve
+
+    monkeypatch.setattr(linsolve, "_satisfies", lambda rows, assignment: False)
+    split_ten = str(INSTANCES / "split_ten.json")
+    assert main(["check", "priceable", split_ten, "--bundle", "c1,c6"]) == 3
+    assert capsys.readouterr() == ("", "error: simplex assignment violates the system\n")
 
 
 def test_cli_laminar_cap_is_not_a_verdict(tmp_path, capsys):

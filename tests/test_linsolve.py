@@ -19,6 +19,7 @@ from pbprop.linsolve import (
     ResourceLimitError,
     lp_feasible,
 )
+from pbprop.model import CertificateError
 from pbprop.oracle import GeneratorSpec, fm_feasible, random_instance
 
 
@@ -138,6 +139,47 @@ def test_variable_cap(monkeypatch):
         lp_feasible(sys_)
 
 
+def test_failed_read_back_raises(monkeypatch):
+    """The point read off the tableau is checked against the system with a
+    plain ``if``, so a kernel fault is an error, never a verdict."""
+    monkeypatch.setattr(linsolve, "_satisfies", lambda rows, assignment: False)
+    with pytest.raises(CertificateError, match="^simplex assignment violates the system$"):
+        lp_feasible(system(["x"], [({"x": 1}, GEQ, 1)]))
+
+
+def test_dantzig_cycle_hands_over_to_bland(monkeypatch):
+    """Beale's (1955) cycling example, recast as phase I.  Its two
+    degenerate rows enter as equalities whose artificials play Beale's
+    slacks x1, x2, and a third row 2*y6 - 18*y7 = 1 (artificial x3) makes
+    the phase-I objective, the sum of the rows, Beale's costs negated:
+    (3/4, -20, 1/2, -6) on y4..y7.  Dantzig's rule with lowest-index ties
+    then cycles through degenerate pivots for its whole budget of
+    20 * (rows + columns) = 200 iterations, and Bland's rule ends the run."""
+    pivots = []
+    reduce = linsolve._reduced
+
+    def counted_reduce(row, rhs, den):
+        if sys._getframe(1).f_code.co_name == "lp_feasible":
+            pivots.append(den)  # the starting objective, then each pivot row
+        return reduce(row, rhs, den)
+
+    monkeypatch.setattr(linsolve, "_reduced", counted_reduce)
+    variables = ["y4", "y5", "y6", "y7"]
+    sys_ = system(
+        variables,
+        [
+            ({"y4": Fraction(1, 4), "y5": -8, "y6": -1, "y7": 9}, EQ, 0),
+            ({"y4": Fraction(1, 2), "y5": -12, "y6": Fraction(-1, 2), "y7": 3}, EQ, 0),
+            ({"y6": 2, "y7": -18}, EQ, 1),
+        ],
+        nonneg=variables,
+    )
+    result = lp_feasible(sys_)
+    assert len(pivots) - 1 > 20 * (3 + 4 + 3)
+    assert result.feasible == fm_feasible(variables, _as_fm_rows(sys_)) is True
+    assert sys_.satisfied_by(result.assignment)
+
+
 def _as_fm_rows(sys_):
     """Rewrite a LinearSystem as pure <= rows for the independent decider."""
     rows = []
@@ -176,7 +218,14 @@ def _mixed_rows(rng, variables):
     return rows
 
 
+# sha256 of the points of the trials below: free variables, EQ/GEQ/LEQ
+# rows and negative right-hand sides, so the pivot rules are pinned beyond
+# the nonnegative priceability systems of GOLDEN_VERTICES.
+GOLDEN_GENERAL_VERTICES = "f88d21102758109212adfab46943a47e8cd7083bd66d28397eca750f431d033d"
+
+
 def test_cross_check_against_fourier_motzkin():
+    lines = []
     for seed, trials, max_vars, draw_rows in [
         (20240817, 250, 3, _integer_rows),
         (20261018, 300, 4, _mixed_rows),
@@ -193,7 +242,10 @@ def test_cross_check_against_fourier_motzkin():
             if got.feasible:
                 assert sys_.satisfied_by(got.assignment)
             verdicts.add(want)
+            lines.append(f"{draw_rows.__name__} {trial} {_point(got)}")
         assert verdicts == {True, False}
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_GENERAL_VERTICES
 
 
 # sha256 of the vertices below.  The certificates `pbprop check priceable`
