@@ -157,8 +157,9 @@ _REDUCE_ABOVE = 1 << 60
 
 
 def _reduced(row, rhs, den):
-    # One gcd at a time, stopping at 1 (the common case); math.gcd(*row...)
-    # costs as much and leaves a spare tuple on CPython's free lists per call.
+    # One gcd at a time over the nonzero entries (gcd(g, 0) is g), stopping
+    # once it is 1; math.gcd(*row...) costs as much and leaves a spare tuple
+    # on CPython's free lists per call.
     g = math.gcd(rhs, den)
     for a in row:
         if a:
@@ -318,6 +319,7 @@ def lp_feasible(system: LinearSystem) -> FeasibilityResult:
             raise RuntimeError("phase-I simplex unbounded")
         row, rhs, _ = rows[leave]
         pivot, prhs, pden = rows[leave] = _reduced(row, rhs, row[enter])
+        # Its nonzeros, listed once: every elimination reads only these.
         pivot = [(j, c) for j, c in enumerate(pivot) if c]
         for i, (row, rhs, den) in column:
             if i != leave:
