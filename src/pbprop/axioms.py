@@ -177,7 +177,8 @@ def core_verdict(instance, bundle, admits=lambda group, target: True):
     project ids, whose strict preferrers (the group, nonempty) afford T
     with their share of the budget and that ``admits`` lets through, with
     its witness re-checked; else Satisfied.  T's table is its voters'
-    utilities, the integer rows of ``_encode`` summed; no T is ``DEAD``."""
+    utilities, the integer rows of ``_encode`` summed; T is ``DEAD`` when it
+    costs more than the whole budget, as then does every superset."""
     voters, projects = instance.voters, instance.projects
     rows, _, chosen = _encode(instance, bundle)
     gains = [[row[i] for row in rows] for i in range(len(projects))]
@@ -188,13 +189,15 @@ def core_verdict(instance, bundle, admits=lambda group, target: True):
         return gains[i] if row is None else list(map(add, row, gains[i]))
 
     def found(mask, size, row):
+        if costs[mask] > len(voters) * share:
+            return DEAD
         better = [v for v, a, w in zip(voters, row, bundle_utility) if a > w]
         if better and costs[mask] <= len(better) * share:
             group, target = frozenset(better), frozenset(_mask_members(mask, projects))
             if admits(group, target):
                 return CoreWitness(group, target)
 
-    hit = _group_search(len(projects), grow, found)
+    hit = _group_search((1 << len(projects)) - 1, grow, found)
     if hit is None:
         return AxiomVerdict(SATISFIED)
     if not validate_core_witness(instance, bundle, hit[1]):
@@ -234,36 +237,37 @@ def _encode(instance, bundle):
     return [rows[k] for k in order], [supports[k] for k in order], chosen
 
 
-def _group_search(n, grow, found):
-    """The one subset walk behind the core, EJR, PJR, bpjr and mwvpjr:
-    returns (S, hit) for the first nonempty mask S over n elements, in
-    increasing order, with a ``hit = found(S, |S|, table)`` other than None
-    and ``DEAD``, else None.  S's table is ``grow(table, i)``: the table of
-    S minus its lowest bit i (None for the empty set), the last mask of
-    |S| - 1 elements visited, extended by element i, so one table per size
-    is kept.
+def _group_search(universe, grow, found):
+    """The one subset walk, behind the core, EJR and PJR (groups and
+    targets), bpjr, mwvpjr and PAV: returns (S, hit) for the first nonempty
+    submask S of ``universe``, in increasing order, with a ``hit = found(S,
+    |S|, table)`` other than None and ``DEAD``, else None.  S's table is
+    ``grow(table, i)``: the table of S minus its lowest bit i (None for the
+    empty set), the last mask of |S| - 1 elements visited, extended by
+    element i, so one table per size is kept.  In order, the submasks are
+    the masks over popcount(universe) elements relabelled, so what follows
+    holds for them as for the masks over n elements.
 
     ``found`` answers ``DEAD`` when a test failed that can only fail again
     on a superset of S, so that no superset of S is a hit.  The walk then
     skips every mask whose chain of "minus its lowest bit" reaches S: the
-    masks S | y for nonempty y below S's lowest bit, which are exactly the
-    masks S + 1 .. S + lowbit(S) - 1 that follow S.  Each is a superset of
-    S, so none is a hit and the first hit is unchanged.  No later mask
-    extends a skipped one (its chain would pass through S, putting it in
-    the skipped range), so the one-table-per-size invariant holds."""
-    tables = [None] * (n + 1)
-    smask, end = 1, 1 << n
-    while smask < end:
+    masks S | y for nonempty y in ``universe`` below S's lowest bit, which
+    are exactly the submasks that follow S up to S | (universe & (lowbit(S)
+    - 1)).  Each is a superset of S, so none is a hit and the first hit is
+    unchanged.  No later mask extends a skipped one (its chain would pass
+    through S, putting it in the skipped range), so the one-table-per-size
+    invariant holds."""
+    tables = [None] * (universe.bit_count() + 1)
+    smask = 0
+    while smask := (smask - universe) & universe:
         bit = smask & -smask
         size = smask.bit_count()
         table = tables[size] = grow(tables[size - 1], bit.bit_length() - 1)
         hit = found(smask, size, table)
         if hit is DEAD:
-            smask += bit
+            smask |= universe & (bit - 1)
         elif hit is not None:
             return smask, hit
-        else:
-            smask += 1
     return None
 
 
@@ -276,7 +280,7 @@ def _cohesive_verdict(instance, bundle, ejr, up_to_one):
     T it affords violate iff sum alpha*(T) >= need: max uW_i + 1 over S for
     EJR, the covered sum + 1 for PJR, where up to one the 1 becomes
     max(1, best single addition).  Only the nonempty submasks T of supp =
-    {c : alpha*(c) > 0} are walked, in increasing order.  The first witness
+    {c : alpha*(c) > 0} are walked, on ``_group_search``.  The first witness
     is unchanged: dropping the zero-threshold projects from a violating T
     keeps sum alpha* and does not raise the cost, so T & supp violates too
     and, as a mask, is <= T.  The first violating T in full mask order is
@@ -290,7 +294,8 @@ def _cohesive_verdict(instance, bundle, ejr, up_to_one):
     K * max alpha* < need, where K is the largest k whose k cheapest
     projects fit the share |S| * budget / n, no affordable T has more than K
     projects and so none reaches need; S alone is skipped, since a larger
-    group's share admits more projects.
+    group's share admits more projects.  A T that costs more than the share
+    is ``DEAD``, as every superset of it costs more still.
     """
     _check_caps(instance)
     rows, supports, chosen = _encode(instance, check_bundle(instance, bundle))
@@ -306,7 +311,6 @@ def _cohesive_verdict(instance, bundle, ejr, up_to_one):
         rows = [row + [need(row)] for row in rows]
     costs, share, _ = _mask_costs(instance)
     cheapest = [0, *accumulate(sorted(costs[1 << c] for c in range(m)))]
-    sums = [0] * len(costs)
 
     def grow(table, i):  # a lone member starts from its own rows and support
         low, high, supp = table or (rows[i], rows[i], -1)
@@ -321,14 +325,16 @@ def _cohesive_verdict(instance, bundle, ejr, up_to_one):
         cap = size * share
         if (bisect_right(cheapest, cap) - 1) * max(alpha) < goal:
             return None
-        t = 0
-        while t := (t - supp) & supp:
-            bit = t & -t
-            s = sums[t] = sums[t ^ bit] + low[bit.bit_length() - 1]
-            if s >= goal and costs[t] <= cap:
+        def target(t, _, s):
+            if costs[t] > cap:
+                return DEAD
+            if s >= goal:
                 return t
 
-    hit = _group_search(len(rows), grow, found)
+        hit = _group_search(supp, lambda s, c: (s or 0) + low[c], target)
+        return hit and hit[0]
+
+    hit = _group_search((1 << len(rows)) - 1, grow, found)
     mode = {"up_to_one": up_to_one}
     if hit is None:
         return AxiomVerdict(SATISFIED, mode=mode)
@@ -354,7 +360,7 @@ def _committee_verdict(instance, bundle, axiom, supports, found):
         inter, union = table or (-1, 0)
         return inter & supports[i], union | supports[i]
 
-    hit = _group_search(len(supports), grow, found)
+    hit = _group_search((1 << len(supports)) - 1, grow, found)
     if hit is None:
         return AxiomVerdict(SATISFIED)
     group = frozenset(_mask_members(hit[0], instance.voters))

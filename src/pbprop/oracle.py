@@ -4,7 +4,8 @@ search.
 Everything here is deliberately naive: nested loops over voter groups,
 project subsets and threshold assignments, with no pruning and no shared
 code with the production checkers (utilities come from
-``instance.utilities``, never from the ballot-type table).  These routines
+``instance.utilities``, never from the ballot-type table; only the laminar
+tree is ``recognize_laminar``'s).  These routines
 exist to differentially test the main checkers and to hunt for
 counterexamples to axiom implications; caps are small on purpose.
 """
@@ -19,6 +20,7 @@ from typing import Optional
 
 from . import config
 from .axioms import SATISFIED, VIOLATED, AxiomVerdict
+from .laminar import NotLaminarError, UnanimousLeaf, UnanimousProject, recognize_laminar
 from .model import CapExceeded, PBInstance, PreconditionError, check_bundle
 
 
@@ -55,7 +57,7 @@ def _verdict(violated, witness=None):
     return AxiomVerdict(VIOLATED if violated else SATISFIED, witness=witness)
 
 
-def _oracle_core(instance, bundle):
+def _oracle_core(instance, bundle, admits=lambda group, target: True):
     n = len(instance.voters)
     for group in _subsets(instance.voters, nonempty=True):
         for target in _subsets(instance.projects, nonempty=True):
@@ -64,9 +66,21 @@ def _oracle_core(instance, bundle):
             if all(
                 instance.voter_utility(v, target) > instance.voter_utility(v, bundle)
                 for v in group
-            ):
+            ) and admits(set(group), target):
                 return _verdict(True, (frozenset(group), frozenset(target)))
     return _verdict(False)
+
+
+def _agreed(node, group):
+    """The projects agreed unanimously at the nodes of a laminar tree whose
+    voters hold all of the group: each stacked project and leaf project."""
+    if not group <= set(node.voters):
+        return set()
+    if isinstance(node, UnanimousLeaf):
+        return set(node.projects)
+    if isinstance(node, UnanimousProject):
+        return {node.project} | _agreed(node.child, group)
+    return _agreed(node.left, group) | _agreed(node.right, group)
 
 
 def _alpha_choices(instance, group, target):
@@ -317,6 +331,13 @@ def oracle_axiom(instance: PBInstance, bundle, axiom: str, **opts) -> AxiomVerdi
         return _oracle_bpjr(instance, bundle)
     if axiom == "priceable":
         return _oracle_priceable(instance, bundle, **opts)
+    if axiom == "coreuafford":  # each agreed project has a member of T as costly
+        root = recognize_laminar(instance)
+        if root is None:
+            raise NotLaminarError("instance is not laminar")
+        return _oracle_core(instance, bundle, lambda group, target: all(
+            any(instance.cost[t] >= instance.cost[c] for t in target)
+            for c in _agreed(root, group)))
     raise ValueError(f"no oracle for axiom {axiom!r}")
 
 

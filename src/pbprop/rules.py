@@ -20,9 +20,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, combinations
+from itertools import accumulate
+from operator import getitem
 
 from . import config
+from .axioms import DEAD, _group_search, _mask_members
 from .model import (
     CertificateError,
     EnumerationCapError,
@@ -176,34 +178,39 @@ def harmonic(j: int) -> Fraction:
 
 
 def _pav_scorer(instance):
-    """Check approval once and return (score, unit): score(bundle) is the
-    PAV score of a bundle of projects times unit, an integer summed per
-    ballot type as size * H(hits), with H scaled by unit = lcm(1..m)."""
+    """Check approval once and return (score, unit, bits): score(mask) is the
+    PAV score of a mask of projects (bits[c] for project c) times unit, an
+    integer summed per ballot type as size * H(hits), H scaled by lcm(1..m)."""
     rows, sizes, _ = _ballot_types(instance)
     _require_approval(instance)
     m = len(instance.projects)
     unit = math.lcm(*range(1, m + 1))
     scaled_h = list(accumulate((unit // i for i in range(1, m + 1)), initial=0))
-    ballots = [(frozenset(row), size) for row, size in zip(rows, sizes)]
+    bits = {c: 1 << k for k, c in enumerate(instance.projects)}
+    ballots = [sum(map(bits.get, row)) for row in rows]
+    weights = [[size * h for h in scaled_h] for size in sizes]
 
-    def score(bundle):
-        return sum(size * scaled_h[len(ballot & bundle)] for ballot, size in ballots)
+    def score(mask):
+        hits = map(int.bit_count, map(mask.__and__, ballots))
+        return sum(map(getitem, weights, hits))
 
-    return score, unit
+    return score, unit, bits
 
 
 def pav_score(instance: PBInstance, bundle) -> Fraction:
-    score, unit = _pav_scorer(instance)
-    return Fraction(score(check_bundle(instance, bundle)), unit)
+    score, unit, bits = _pav_scorer(instance)
+    return Fraction(score(sum(map(bits.get, check_bundle(instance, bundle)))), unit)
 
 
 def pav(instance: PBInstance, collect_ties=False):
-    """Exhaustive maximisation of the harmonic score over affordable bundles.
+    """Exhaustive maximisation of the harmonic score over affordable bundles,
+    on ``axioms._group_search``: a bundle over the budget is ``DEAD``, since
+    every superset costs more.
 
     Among score maximizers, the lexicographically smallest sorted member
     tuple wins.  Guarded by a hard project-count cap.
     """
-    score, unit = _pav_scorer(instance)
+    score, unit, _ = _pav_scorer(instance)
     cap = config.PAV_MAX_PROJECTS
     if len(instance.projects) > cap:
         raise EnumerationCapError(
@@ -211,23 +218,23 @@ def pav(instance: PBInstance, collect_ties=False):
         )
     projects = instance.projects
     (*costs, budget), _ = _scaled([*map(instance.cost.get, projects), instance.budget])
-    cost = dict(zip(projects, costs))
-    best_score = None
-    maximizers = []
-    for r in range(len(projects) + 1):
-        for combo in combinations(projects, r):
-            if sum(cost[c] for c in combo) > budget:
-                continue
-            value = score(frozenset(combo))
-            if best_score is None or value > best_score:
-                best_score = value
-                maximizers = [tuple(sorted(combo))]
-            elif value == best_score:
-                maximizers.append(tuple(sorted(combo)))
-    winner = frozenset(min(maximizers))
-    best_score = Fraction(best_score, unit)
+    best = [0, []]  # the best score and its bundles' member tuples
+
+    def found(mask, _, cost):
+        if cost > budget:
+            return DEAD
+        value = score(mask)
+        if value > best[0]:
+            best[:] = value, []
+        if value == best[0]:
+            best[1].append(tuple(_mask_members(mask, projects)))
+
+    found(0, 0, 0)  # the empty bundle, which the walk does not visit
+    _group_search((1 << len(projects)) - 1, lambda s, i: (s or 0) + costs[i], found)
+    winner = frozenset(min(best[1]))
+    best_score = Fraction(best[0], unit)
     if collect_ties:
-        return winner, best_score, sorted(maximizers)
+        return winner, best_score, sorted(best[1])
     return winner, best_score
 
 

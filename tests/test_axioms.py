@@ -28,7 +28,7 @@ from pbprop import (
 from pbprop import axioms
 from pbprop.axioms import CohesivenessWitness, CoreWitness, EnumerationCapError
 from pbprop.fixtures import get_fixture
-from pbprop.model import CertificateError, InputError
+from pbprop.model import CertificateError, InputError, ValidationReport
 from pbprop.oracle import random_bundle
 from pbprop.registry import MAIN_CHECKERS
 
@@ -41,9 +41,22 @@ def test_core_detects_blocking_pair():
 
 
 def test_core_witness_failing_recheck_raises(monkeypatch):
+    """A witness or price system that fails its re-check raises, for the
+    core, EJR, PJR and priceability, instead of reaching the verdict."""
     monkeypatch.setattr("pbprop.axioms.validate_core_witness", lambda *a: False)
-    with pytest.raises(CertificateError):
-        check_core(get_fixture("tall_stack"), frozenset())
+    monkeypatch.setattr("pbprop.axioms.validate_cohesiveness_witness", lambda *a: False)
+    monkeypatch.setattr(
+        "pbprop.axioms.validate_price_system",
+        lambda *a, **k: ValidationReport(["forged problem"]),
+    )
+    for check, name, bundle in (
+        (check_core, "tall_stack", set()),
+        (check_ejr, "cardinal_quartet", {"c2", "c3"}),
+        (check_pjr, "cardinal_quartet", {"c2", "c3"}),
+        (check_priceable, "common_tail", {"c1", "c2", "c3"}),
+    ):
+        with pytest.raises(CertificateError):
+            check(get_fixture(name), frozenset(bundle))
 
 
 def test_core_satisfied_on_unit_split():

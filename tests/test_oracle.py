@@ -15,6 +15,7 @@ from pbprop import (
     search_counterexample,
 )
 from pbprop.fixtures import get_fixture
+from pbprop.laminar import NotLaminarError, generate_laminar, generate_laminar_mwv
 from pbprop.oracle import OracleCapError, fm_feasible, random_bundle
 from pbprop.registry import MAIN_CHECKERS
 
@@ -77,8 +78,9 @@ def test_oracle_matches_fixture_verdicts():
 
 
 def test_oracle_unknown_axiom():
-    with pytest.raises(ValueError):
-        oracle_axiom(get_fixture("unit_split"), set(), "nope")
+    for axiom in ("nope", "laminarprop"):
+        with pytest.raises(ValueError, match=f"^no oracle for axiom '{axiom}'$"):
+            oracle_axiom(get_fixture("unit_split"), set(), axiom)
 
 
 def test_oracle_agrees_with_main_checkers_spot():
@@ -93,6 +95,27 @@ def test_oracle_agrees_with_main_checkers_spot():
                 oracle_axiom(inst, w, ax).satisfied
                 == MAIN_CHECKERS[ax](inst, w).satisfied
             ), (trial, ax)
+
+
+def test_core_u_afford_oracle_agrees_on_small_laminar_draws():
+    """check_core_u_afford against its oracle, which tries every group and
+    target, on laminar draws with n, m <= 6 and random bundles."""
+    violated = 0
+    for seed in range(60):
+        for generate in (generate_laminar, generate_laminar_mwv):
+            inst = generate(seed, max_depth=1)
+            if len(inst.voters) > 6 or len(inst.projects) > 6:
+                continue
+            rng = random.Random(seed)
+            for _ in range(3):
+                w = frozenset(c for c in inst.projects if rng.random() < 0.5)
+                verdict = MAIN_CHECKERS["coreuafford"](inst, w)
+                oracle = oracle_axiom(inst, w, "coreuafford")
+                assert verdict.satisfied == oracle.satisfied, (seed, generate.__name__, w)
+                violated += not verdict.satisfied
+    assert violated > 100
+    with pytest.raises(NotLaminarError, match="^instance is not laminar$"):
+        oracle_axiom(get_fixture("common_tail"), set(), "coreuafford")
 
 
 def test_search_reflexive_implication_finds_nothing():
