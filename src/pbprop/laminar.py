@@ -5,23 +5,30 @@ seeded generator of laminar instances.
 A laminar instance is built from three node kinds: a unanimous block whose
 agreed projects cover the budget; a unanimously approved project stacked on
 a laminar remainder; or a disjoint split of two laminar instances whose
-budgets are proportional to their voter counts.  One memoized table lists
-the cases of each slice of voters, projects and budget; recognition,
-certification, enumeration and the constructive price system are folds over
-that table, and certification of a bundle is existential over all
-decompositions.
+budgets are proportional to their voter counts.  One memoized table, built
+on integers once per call, lists the cases of each slice: its voters and
+projects are bitmasks over the sorted ids and its budget a reduced pair of
+integers over the costs' one denominator.  Recognition, certification,
+enumeration and the constructive price system are folds over that table,
+and certification of a bundle is existential over all decompositions.  A
+leaf's maximal affordable parts come from the one subset walk,
+``axioms._group_search``.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count, product
+from functools import reduce
+from itertools import count
+from operator import or_
 
 from . import config
-from .axioms import SATISFIED, VIOLATED, AxiomVerdict, PriceSystem, core_verdict
-from .model import EnumerationCapError, PBInstance, PreconditionError, check_bundle
+from .axioms import DEAD, SATISFIED, VIOLATED, AxiomVerdict, PriceSystem, core_verdict
+from .axioms import _group_search, _mask_members
+from .model import EnumerationCapError, PBInstance, PreconditionError, _scaled, check_bundle
 
 
 class NotLaminarError(PreconditionError):
@@ -53,38 +60,32 @@ class Split:
     budget: Fraction
 
 
-def _first_component(voters, approvals):
-    """The connected component of the voter-project approval graph that
-    holds the canonically first voter, as (voters, projects)."""
-    comp_voters = {voters[0]}
-    comp_projects = set(approvals[voters[0]])
-    grew = True
-    while grew:
-        grew = False
-        for v in voters:
-            if v not in comp_voters and approvals[v] & comp_projects:
-                comp_voters.add(v)
-                comp_projects |= approvals[v]
-                grew = True
-    return tuple(v for v in voters if v in comp_voters), frozenset(comp_projects)
+def _reduced(num, den):
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def _slice_cases(instance):
-    """Check that the instance may be searched, and return its root slice
-    with a memoized map from a slice to its cases.
+    """Check that the instance may be searched, and return (root, cases,
+    costs, den): its root slice, a memoized map from a slice to its cases,
+    and the project costs as integers over one denominator den.
 
-    A slice is a (voters, projects, budget) triple; only approved projects
-    take part, since a project nobody approves can never appear in a
-    laminar proportional bundle.  A case is (project, children), listed in
-    search order:
+    A slice is (voters, projects, num, bden): a voter mask and a project
+    mask, bit k standing for the k-th id of ``instance.voters`` and of
+    ``instance.projects``, and the budget num / bden in units of 1 / den as
+    a reduced pair with bden > 0, so that every memo key is a tuple of
+    ints.  Only approved projects take part, since a project nobody
+    approves can never appear in a laminar proportional bundle.  A case is
+    (project, children), the project an index, listed in search order:
 
     - (None, ()) when the slice is unanimous and its projects cover the
       budget: a leaf;
     - (c, (child,)) for each commonly approved c cheaper than the budget,
-      in id order: c stacked on the rest of the slice;
+      in id order: c stacked on the rest of the slice, whose budget
+      (num - cost_c * bden, bden) stays reduced;
     - (None, (left, right)) when the approval graph is disconnected: the
-      component of the first voter split off from the rest, each with its
-      voter-proportional part of the budget.
+      component of the first voter split off from the rest, a wing of k
+      of the n voters taking (num * k, bden * n), reduced.
 
     A slice has cases of one kind at most.  Removing a common project from
     a unanimous slice leaves it unanimous, so c is stacked only on a
@@ -98,60 +99,77 @@ def _slice_cases(instance):
     cap = config.LAMINAR_MAX_BITS
     if len(instance.voters) > cap or len(instance.projects) > cap:
         raise EnumerationCapError("instance exceeds laminar-search caps")
-    approval = {v: instance.approval_set(v) for v in instance.voters}
+    rows, _, type_of = instance.ballot_types
+    bit = {c: 1 << k for k, c in enumerate(instance.projects)}
+    masks = [sum(map(bit.get, row)) for row in rows]
+    approval = [(1 << i, masks[k]) for i, k in enumerate(type_of.values())]
+    costs, den = _scaled([instance.cost[c] for c in instance.projects])
     memo = {}
 
     def cases(s):
         if s in memo:
             return memo[s]
-        voters, projects, budget = s
-        approvals = {v: approval[v] & projects for v in voters}
-        sets = list(approvals.values())
-        out = []
-        if sets and all(sets):
-            common = frozenset.intersection(*sets)
-            if all(a == common for a in sets):
-                if instance.cost_of(projects) >= budget:
-                    out.append((None, ()))
-            elif common:
-                for c in sorted(common):
-                    if budget > instance.cost[c]:
-                        child = (voters, projects - {c}, budget - instance.cost[c])
-                        out.append((c, (child,)))
-            else:
-                lv, lp = _first_component(voters, approvals)
-                if len(lv) < len(voters):
-                    rv = tuple(v for v in voters if v not in lv)
-                    left = (lv, lp, budget * len(lv) / len(voters))
-                    right = (rv, projects - lp, budget * len(rv) / len(voters))
-                    out.append((None, (left, right)))
-        memo[s] = out
+        voters, projects, num, bden = s
+        sets = [(b, a & projects) for b, a in approval if voters & b]
+        out = memo[s] = []
+        if not sets or not all(a for _, a in sets):
+            return out
+        common = union = sets[0][1]
+        for _, a in sets:
+            common, union = common & a, union | a
+        if common == union:
+            if sum(_mask_members(projects, costs)) * bden >= num:
+                out.append((None, ()))
+        elif common:
+            for c in range(common.bit_length()):
+                step = costs[c] * bden
+                if common >> c & 1 and num > step:
+                    out.append((c, ((voters, projects & ~(1 << c), num - step, bden),)))
+        else:
+            lv, lp = sets[0]
+            grew = True
+            while grew:  # the component of the first voter
+                grew = False
+                for b, a in sets:
+                    if not lv & b and a & lp:
+                        lv, lp, grew = lv | b, lp | a, True
+            if lv != voters:
+                n, k = voters.bit_count(), lv.bit_count()
+                left = (lv, lp, *_reduced(num * k, bden * n))
+                right = (voters & ~lv, projects & ~lp, *_reduced(num * (n - k), bden * n))
+                out.append((None, (left, right)))
         return out
 
-    return (tuple(instance.voters), frozenset().union(*approval.values()), instance.budget), cases
+    budget = _reduced(instance.budget.numerator * den, instance.budget.denominator)
+    return ((1 << len(approval)) - 1, reduce(or_, masks, 0), *budget), cases, costs, den
 
 
-def _fills_leaf(instance, s, w):
+def _mask_of(instance, bundle):
+    return sum(1 << k for k, c in enumerate(instance.projects) if c in bundle)
+
+
+def _fills_leaf(costs, s, w):
     """w is a maximal affordable part of the leaf's agreed projects: it fits
     in the slice budget and no other project of the slice fits beside it."""
-    room = s[2] - instance.cost_of(w)
-    return room >= 0 and not any(instance.cost[c] <= room for c in s[1] - w)
+    _, projects, num, bden = s
+    room = num - sum(_mask_members(w, costs)) * bden
+    return room >= 0 and not any(x * bden <= room for x in _mask_members(projects & ~w, costs))
 
 
-def _certifying(instance, cases, memo, s, w):
-    """The first case of slice s that certifies w, or None, memoized in
-    memo.  A leaf must be filled by w, a stacked project must be in w, and
-    each child slice must certify its part of w.  A module-level function,
-    so that recursing builds no reference cycle."""
+def _certifying(cases, costs, memo, s, w):
+    """The first case of slice s that certifies the project mask w, or None,
+    memoized in memo.  A leaf must be filled by w, a stacked project must
+    be in w, and each child slice must certify its part of w.  A
+    module-level function, so that recursing builds no reference cycle."""
     if (s, w) not in memo:
         found = None
-        for case in cases(s) if w <= s[1] else ():
+        for case in cases(s) if not w & ~s[1] else ():
             c, children = case
             if not children:
-                fits = _fills_leaf(instance, s, w)
+                fits = _fills_leaf(costs, s, w)
             else:
-                fits = (c is None or c in w) and all(
-                    _certifying(instance, cases, memo, t, w & t[1]) for t in children
+                fits = (c is None or w >> c & 1) and all(
+                    _certifying(cases, costs, memo, t, w & t[1]) for t in children
                 )
             if fits:
                 found = case
@@ -160,25 +178,31 @@ def _certifying(instance, cases, memo, s, w):
     return memo[s, w]
 
 
-def _tree(cases, memo, s):
+def _tree(instance, den, cases, memo, s):
     """The tree of the first case of slice s whose children are all
     laminar, or None, memoized in memo; a case fails at its first
-    non-laminar child."""
+    non-laminar child.  Nodes hold ids and the budget as a Fraction."""
     if s not in memo:
         found = None
         for c, children in cases(s):
             nodes = []
             for t in children:
-                nodes.append(_tree(cases, memo, t))
+                nodes.append(_tree(instance, den, cases, memo, t))
                 if nodes[-1] is None:
                     break
             else:
+                voters, projects, num, bden = s
+                fields = (
+                    tuple(_mask_members(voters, instance.voters)),
+                    frozenset(_mask_members(projects, instance.projects)),
+                    Fraction(num, bden * den),
+                )
                 if not children:
-                    found = UnanimousLeaf(*s)
+                    found = UnanimousLeaf(*fields)
                 elif c is None:
-                    found = Split(*nodes, *s)
+                    found = Split(*nodes, *fields)
                 else:
-                    found = UnanimousProject(c, *nodes, *s)
+                    found = UnanimousProject(instance.projects[c], *nodes, *fields)
                 break
         memo[s] = found
     return memo[s]
@@ -189,14 +213,15 @@ def recognize_laminar(instance: PBInstance):
 
     Takes the first case of each slice whose children are all laminar.
     """
-    root, cases = _slice_cases(instance)
-    return _tree(cases, {}, root)
+    root, cases, _, den = _slice_cases(instance)
+    return _tree(instance, den, cases, {}, root)
 
 
-def _laminar_tree(root, cases):
+def _laminar_tree(instance, table):
     """The certification tree of the root slice from its case table; raise
     NotLaminarError when there is none."""
-    tree = _tree(cases, {}, root)
+    root, cases, _, den = table
+    tree = _tree(instance, den, cases, {}, root)
     if tree is None:
         raise NotLaminarError("instance is not laminar")
     return tree
@@ -211,27 +236,46 @@ def is_laminar_proportional(instance: PBInstance, bundle) -> AxiomVerdict:
     Maximality at leaves mirrors the committee setting, where a unanimous
     block fills exactly its share of seats; without it, bundles that
     underspend one wing lose priceability and core guarantees."""
-    bundle = check_bundle(instance, bundle)
-    root, cases = _slice_cases(instance)
-    if _certifying(instance, cases, {}, root, bundle):
+    w = _mask_of(instance, check_bundle(instance, bundle))
+    table = _slice_cases(instance)
+    root, cases, costs, _ = table
+    if _certifying(cases, costs, {}, root, w):
         return AxiomVerdict(SATISFIED)
-    _laminar_tree(root, cases)
+    _laminar_tree(instance, table)
     return AxiomVerdict(VIOLATED, witness="no decomposition certifies the bundle")
 
 
-def _bundles(instance, cases, memo, s):
-    """Every bundle that some case of slice s certifies, memoized in memo."""
+def _leaf_bundles(costs, s, out):
+    """Add to out the mask of every maximal affordable part of leaf slice
+    s's projects, on the one subset walk: a part over the slice budget is
+    ``DEAD``, as is every superset.  The empty part, which the walk does
+    not visit, is tested first."""
+    _, projects, num, bden = s
+
+    def found(mask, _, cost):
+        room = num - cost * bden
+        if room < 0:
+            return DEAD
+        if not any(x * bden <= room for x in _mask_members(projects & ~mask, costs)):
+            out.add(mask)
+
+    found(0, 0, 0)
+    _group_search(projects, lambda t, i: (t or 0) + costs[i], found)
+
+
+def _bundles(cases, costs, memo, s):
+    """The mask of every bundle that some case of slice s certifies,
+    memoized in memo."""
     if s not in memo:
         out = set()
         for c, children in cases(s):
-            if children:
-                head = frozenset() if c is None else frozenset([c])
-                parts = [_bundles(instance, cases, memo, t) for t in children]
-                out.update(head.union(*ws) for ws in product(*parts))
+            if not children:
+                _leaf_bundles(costs, s, out)
+            elif c is None:
+                left, right = (_bundles(cases, costs, memo, t) for t in children)
+                out.update(x | y for x in left for y in right)
             else:
-                for r in range(len(s[1]) + 1):
-                    leaf = map(frozenset, combinations(sorted(s[1]), r))
-                    out.update(w for w in leaf if _fills_leaf(instance, s, w))
+                out.update(x | 1 << c for x in _bundles(cases, costs, memo, children[0]))
         memo[s] = out
     return memo[s]
 
@@ -247,25 +291,33 @@ def laminar_bundles(instance: PBInstance):
     which fits in the slice budget, until nothing else fits); a stacked
     project or a split certifies a bundle iff each of its children does;
     and ``_tree`` takes a case iff each of its children has a tree."""
-    root, cases = _slice_cases(instance)
-    bundles = _bundles(instance, cases, {}, root)
+    root, cases, costs, _ = _slice_cases(instance)
+    bundles = _bundles(cases, costs, {}, root)
     if not bundles:
         raise NotLaminarError("instance is not laminar")
-    yield from sorted(bundles, key=lambda w: tuple(sorted(w)))
+    # Bit order is id order, so each member list is sorted already.
+    for members in sorted(tuple(_mask_members(w, instance.projects)) for w in bundles):
+        yield frozenset(members)
 
 
-def _payments(instance, cases, memo, s, w):
-    """Payments of slice s's voters for w along its first certifying case."""
-    voters = s[0]
-    c, children = _certifying(instance, cases, memo, s, w)
+def _payments(instance, den, cases, costs, memo, s, w):
+    """Payments of slice s's voters for the project mask w along its first
+    certifying case."""
+    voters = _mask_members(s[0], instance.voters)
+    c, children = _certifying(cases, costs, memo, s, w)
     if not children:
-        return {v: {d: instance.cost[d] / len(voters) for d in w} for v in voters}
+        shares = {
+            d: Fraction(x, den * len(voters))
+            for d, x in zip(_mask_members(w, instance.projects), _mask_members(w, costs))
+        }
+        return {v: dict(shares) for v in voters}
     payments = {}
     for t in children:
-        payments.update(_payments(instance, cases, memo, t, w & t[1]))
+        payments.update(_payments(instance, den, cases, costs, memo, t, w & t[1]))
     if c is not None:
+        share = Fraction(costs[c], den * len(voters))
         for v in voters:
-            payments.setdefault(v, {})[c] = instance.cost[c] / len(voters)
+            payments.setdefault(v, {})[instance.projects[c]] = share
     return payments
 
 
@@ -276,12 +328,14 @@ def laminar_price_system(instance: PBInstance, bundle):
     cost/n by its whole voter slice, and a split takes the disjoint union of
     its wings."""
     bundle = check_bundle(instance, bundle)
-    root, cases = _slice_cases(instance)
+    w = _mask_of(instance, bundle)
+    table = _slice_cases(instance)
+    root, cases, costs, den = table
     memo = {}
-    if not _certifying(instance, cases, memo, root, bundle):
-        _laminar_tree(root, cases)
+    if not _certifying(cases, costs, memo, root, w):
+        _laminar_tree(instance, table)
         raise NotLaminarError("bundle is not laminar proportional")
-    payments = _payments(instance, cases, memo, root, bundle)
+    payments = _payments(instance, den, cases, costs, memo, root, w)
     for v in instance.voters:
         payments.setdefault(v, {})
     return PriceSystem(instance.cost_of(bundle), payments)
@@ -323,7 +377,7 @@ def check_core_u_afford(instance: PBInstance, bundle) -> AxiomVerdict:
     """Core restricted to deviations whose target is u-affordable w.r.t.
     the unanimous projects scoped to the deviating group's branch."""
     bundle = check_bundle(instance, bundle)
-    root = _laminar_tree(*_slice_cases(instance))
+    root = _laminar_tree(instance, _slice_cases(instance))
     pools = {}  # group -> its unanimity pool
 
     def u_affordable(group, target):

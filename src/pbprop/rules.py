@@ -216,6 +216,8 @@ def pav(instance: PBInstance, collect_ties=False):
         raise EnumerationCapError(
             f"{len(instance.projects)} projects exceeds PAV cap {cap}"
         )
+    if instance.budget < 0:  # not even the empty bundle would be affordable
+        raise InputError(f"PAV needs a budget of at least 0, not {instance.budget}")
     projects = instance.projects
     (*costs, budget), _ = _scaled([*map(instance.cost.get, projects), instance.budget])
     best = [0, []]  # the best score and its bundles' member tuples

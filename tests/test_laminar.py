@@ -1,8 +1,11 @@
 """Laminar recognition, bundle certification, the constructive price
 system, generators, and the unanimity-restricted core."""
 
+import hashlib
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +25,13 @@ from pbprop import (
     validate_price_system,
 )
 from pbprop.fixtures import get_fixture, tall_stack_bundle
-from pbprop.laminar import Split, UnanimousLeaf, UnanimousProject, unanimous_pool
+from pbprop.laminar import (
+    Split,
+    UnanimousLeaf,
+    UnanimousProject,
+    _slice_cases,
+    unanimous_pool,
+)
 from pbprop.model import EnumerationCapError
 
 
@@ -291,3 +300,69 @@ def test_public_calls_leave_no_cyclic_garbage():
             laminar_price_system(inst, frozenset())
     finally:
         gc.enable()
+
+
+def _diff_pair():
+    """tools/diff_pair.py, whose canonical text the pinned digest reads."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "diff_pair.py"
+    spec = importlib.util.spec_from_file_location("diff_pair", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_laminar_outputs_are_pinned():
+    # Trees, bundle lists, verdicts, price systems and restricted-core
+    # verdicts (exceptions by type and message) on 20 seeds of each
+    # generator, over every certified bundle and two random ones: 1,052
+    # calls, canonical text as in tools/diff_pair.py, so that the order of
+    # a set or a dict is no difference.
+    diff_pair = _diff_pair()
+    text = "".join(
+        f"{label}\t{out}\n"
+        for instance in diff_pair.laminar_instances(range(20))
+        for label, out in diff_pair.laminar_lines(*instance)
+    )
+    assert text.count("\n") == 1052
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "45b675d2e5ee94027be30672d03faf105ab1774b5b73c4fae61d116614e98200"
+
+
+def test_split_budgets_that_do_not_divide():
+    # Three voters split 1 + 2 over budget 5: the wings hold 5/3 and 10/3.
+    # Voter a's leaf is filled by p, which costs exactly 5/3; p2 costs 1/3
+    # more and fits in no wing budget.
+    inst = PBInstance.build(
+        voters=["a", "b", "c"],
+        projects=["p", "p2", "q", "r"],
+        cost={"p": "5/3", "p2": 2, "q": "10/3", "r": "10/3"},
+        utilities={"a": {"p": 1, "p2": 1}, "b": {"q": 1, "r": 1}, "c": {"q": 1, "r": 1}},
+        budget=5,
+    )
+    root = recognize_laminar(inst)
+    assert isinstance(root, Split)
+    assert (root.left.voters, root.left.budget) == (("a",), Fraction(5, 3))
+    assert (root.right.voters, root.right.budget) == (("b", "c"), Fraction(10, 3))
+    assert is_laminar_proportional(inst, {"p", "q"}).satisfied
+    assert not is_laminar_proportional(inst, {"p2", "q"}).satisfied
+    assert list(laminar_bundles(inst)) == [frozenset("pq"), frozenset("pr")]
+    ps = laminar_price_system(inst, {"p", "r"})
+    assert ps.paid("a", "p") == Fraction(5, 3) and ps.paid("c", "r") == Fraction(5, 3)
+    assert validate_price_system(inst, {"p", "r"}, ps).ok
+
+
+def test_slice_table_holds_ints_alone():
+    # Integer costs, so den is 1: the wings of budget 5 over 1 + 2 voters
+    # are the reduced pairs 5/3 and 10/3, and every slice is ints alone.
+    inst = PBInstance.build(
+        voters=["a", "b", "c"],
+        projects=["p", "q"],
+        cost={"p": 1, "q": 2},
+        utilities={"a": {"p": 1}, "b": {"q": 1}, "c": {"q": 1}},
+        budget=5,
+    )
+    root, cases, costs, den = _slice_cases(inst)
+    ((_, wings),) = cases(root)
+    assert (root, costs, den) == ((0b111, 0b11, 5, 1), [1, 2], 1)
+    assert wings == ((0b001, 0b01, 5, 3), (0b110, 0b10, 10, 3))
+    assert all(type(x) is int for s in (root, *wings) for x in s)

@@ -8,6 +8,7 @@ import pytest
 
 from pbprop import (
     GeneratorSpec,
+    PBInstance,
     binarize,
     enumerate_affordable,
     harmonic,
@@ -18,6 +19,7 @@ from pbprop import (
     rule_x,
 )
 from pbprop.fixtures import get_fixture
+from pbprop.model import InputError
 from pbprop.oracle import oracle_rule_x
 from pbprop.rules import (
     STOP_BUDGET,
@@ -107,6 +109,16 @@ def test_pav_project_cap(monkeypatch):
     monkeypatch.setattr(config, "PAV_MAX_PROJECTS", 2)
     with pytest.raises(EnumerationCapError):
         pav(quartet_approval())
+
+
+def test_pav_negative_budget_is_an_input_error():
+    # No bundle, not even the empty one, is affordable: a typed error naming
+    # the budget, not an empty maximisation.
+    inst = PBInstance.build(["a"], ["p"], {"p": 1}, {"a": {"p": 1}}, -1)
+    with pytest.raises(InputError, match="not -1$"):
+        pav(inst)
+    zero = PBInstance.build(["a"], ["p"], {"p": 1}, {"a": {"p": 1}}, 0)
+    assert pav(zero) == (frozenset(), 0)
 
 
 def test_pav_matches_exhaustive_maximization():
