@@ -204,7 +204,9 @@ def first_difference(base, head):
 
 
 def clip(text, width=400):
-    return text if text is None or len(text) <= width else text[:width] + "..."
+    if text is None:
+        return "(no such call)"
+    return text if len(text) <= width else text[:width] + "..."
 
 
 def main(argv=None):
